@@ -7,6 +7,7 @@ package repro
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -1047,4 +1048,67 @@ func BenchmarkE18GeneratedSweep(b *testing.B) {
 			classify(b, st)
 		}
 	})
+}
+
+// BenchmarkE19SecondHalfStepGen: E19 — the maximal-set search of
+// SecondHalfStep (core's cold-path hotspot) on the Π'_{1/2} inputs the
+// servebench cold-gen and warm-hot workloads produce: every step input
+// of the first 256 points of their generated space at their budgets
+// (4 steps, 2000 states), lifted once by HalfStep and deduplicated.
+// The corpus keeps the inputs whose search exhausts the state budget,
+// which the cold path pays for too. One op is one SecondHalfStep per
+// corpus entry at one worker; allocs/op is CI-gated by tools/allocgate
+// against bench/alloc_thresholds.txt, so per-candidate allocation in
+// the search cannot come back unnoticed.
+func BenchmarkE19SecondHalfStepGen(b *testing.B) {
+	spec, err := gen.ParseSpec("family=rand,seed=1,count=256,delta=3,labels=3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const maxSteps, maxStates = 4, 2000
+	opts := []core.Option{core.WithMaxStates(maxStates), core.WithWorkers(1)}
+	var halves []*core.Problem
+	seen := map[string]bool{}
+	for i := 0; i < spec.Count; i++ {
+		p, err := spec.Point(i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := fixpoint.Run(p, fixpoint.Options{MaxSteps: maxSteps, Core: opts})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Trajectory[s] is the input of step s+1; a state-budget
+		// failure happened on the input after the last completed step.
+		inputs := res.Trajectory[:res.Steps]
+		if res.Err != nil {
+			inputs = res.Trajectory[:res.Steps+1]
+		}
+		for _, in := range inputs {
+			half, err := core.HalfStep(in, opts...)
+			if err != nil {
+				continue // the half step's own budget ran out
+			}
+			if key := half.String(); !seen[key] {
+				seen[key] = true
+				halves = append(halves, half)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	exceeded := 0
+	for i := 0; i < b.N; i++ {
+		exceeded = 0
+		for _, half := range halves {
+			if _, err := core.SecondHalfStep(half, opts...); err != nil {
+				if !errors.Is(err, core.ErrStateBudget) {
+					b.Fatal(err)
+				}
+				exceeded++
+			}
+		}
+	}
+	b.ReportMetric(float64(len(halves)), "inputs")
+	b.ReportMetric(float64(exceeded)/float64(len(halves)), "budget-exceeded-share")
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -94,6 +95,48 @@ func TestMaximalNodeConfigsStrategiesAgree(t *testing.T) {
 		if !equalStrings(explore, brute) {
 			t.Fatalf("iter %d: enumeration disagrees with brute force\ngot:  %v\nwant: %v\nproblem:\n%s",
 				iter, explore, brute, half.String())
+		}
+	}
+}
+
+// TestSecondHalfStepBudgetBoundary pins the state-budget rule of the
+// exploration at its exact boundary: with maxStates = b, SecondHalfStep
+// fails with ErrStateBudget iff the valid set-configurations with
+// non-empty entries (counted by brute force) outnumber max(b, |h|) —
+// the roots are admitted without charging the budget — and otherwise
+// returns the bytes of an unbudgeted run, for every worker count.
+func TestSecondHalfStepBudgetBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	problems := 300
+	if testing.Short() {
+		problems = 60
+	}
+	for iter := 0; iter < problems; iter++ {
+		half := randomProblem(rng, 2+rng.Intn(3), 2+rng.Intn(2), 0.5)
+		if half.Node.Size() == 0 {
+			continue
+		}
+		count := BruteValidNodeSetConfigCount(half)
+		ref, err := SecondHalfStep(half, WithWorkers(1))
+		if err != nil {
+			t.Fatalf("iter %d: unbudgeted: %v", iter, err)
+		}
+		want := ref.String()
+		for b := 1; b <= count+1; b++ {
+			fail := count > max(b, half.Node.Size())
+			for _, workers := range []int{1, 4} {
+				got, err := SecondHalfStep(half, WithMaxStates(b), WithWorkers(workers))
+				switch {
+				case fail && !errors.Is(err, ErrStateBudget):
+					t.Fatalf("iter %d: budget %d, workers %d: %d valid configs, |h|=%d: want ErrStateBudget, got %v\nproblem:\n%s",
+						iter, b, workers, count, half.Node.Size(), err, half)
+				case !fail && err != nil:
+					t.Fatalf("iter %d: budget %d, workers %d: %d valid configs, |h|=%d: %v\nproblem:\n%s",
+						iter, b, workers, count, half.Node.Size(), err, half)
+				case !fail && got.String() != want:
+					t.Fatalf("iter %d: budget %d, workers %d: result differs from the unbudgeted run", iter, b, workers)
+				}
+			}
 		}
 	}
 }

@@ -21,20 +21,7 @@ func MaximalNodeSetConfigKeys(half *Problem, s Strategy, maxStates int) ([]strin
 // constraint, filters to the domination-maximal ones, and returns their
 // canonical keys. Exponential; for tiny instances only.
 func BruteMaximalNodeSetConfigKeys(half *Problem) []string {
-	n := half.Alpha.Size()
-	arena := newSetArena(n)
-	sets := allNonEmptySubsets(n)
-	var valid []setConfig
-	enumerateMultisets(len(sets), half.Delta(), func(counts map[int]int) {
-		groups := make([]setGroup, 0, len(counts))
-		for si, c := range counts {
-			groups = append(groups, setGroup{set: sets[si], count: c})
-		}
-		sc := newSetConfig(arena, groups)
-		if sc.allChoicesIn(arena, half.Node, nil) {
-			valid = append(valid, sc)
-		}
-	})
+	valid, arena := bruteValidNodeSetConfigs(half)
 	var keys []string
 	for i, sc := range valid {
 		maximal := true
@@ -49,6 +36,35 @@ func BruteMaximalNodeSetConfigKeys(half *Problem) []string {
 		}
 	}
 	return dedupSorted(keys)
+}
+
+// BruteValidNodeSetConfigCount counts, by the same power-set brute
+// force, every multiset of non-empty subsets whose every choice is in
+// the node constraint: the state space the exploration strategy visits,
+// hence the count its state budget is charged against.
+func BruteValidNodeSetConfigCount(half *Problem) int {
+	valid, _ := bruteValidNodeSetConfigs(half)
+	return len(valid)
+}
+
+// bruteValidNodeSetConfigs enumerates the valid multisets of non-empty
+// subsets of the alphabet (each exactly once).
+func bruteValidNodeSetConfigs(half *Problem) ([]setConfig, *setArena) {
+	n := half.Alpha.Size()
+	arena := newSetArena(n)
+	sets := allNonEmptySubsets(n)
+	var valid []setConfig
+	enumerateMultisets(len(sets), half.Delta(), func(counts map[int]int) {
+		groups := make([]setGroup, 0, len(counts))
+		for si, c := range counts {
+			groups = append(groups, setGroup{set: sets[si], count: c})
+		}
+		sc := newSetConfig(arena, groups)
+		if sc.allChoicesIn(arena, half.Node, nil) {
+			valid = append(valid, sc)
+		}
+	})
+	return valid, arena
 }
 
 func dedupSorted(keys []string) []string {

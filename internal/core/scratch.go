@@ -2,13 +2,15 @@ package core
 
 // Pooled per-run scratch for the enumeration hot paths. Every speedup
 // step builds and discards the same short-lived structures — interning
-// arenas for closed-set dedup, label-multiplicity count maps, packed
-// choice vectors — and at service request rates those allocations, not
-// the set algebra, dominate the profile. The pools below recycle them
-// across calls. Nothing pooled ever escapes into a result: results are
-// built from fresh or arena-owned storage, and each helper's Put runs
-// only after the last read of the scratch, so pooling is invisible to
-// the byte-identity contract (locked by the golden corpus tests).
+// arenas for closed-set dedup, label-multiplicity count maps — and at
+// service request rates those allocations, not the set algebra,
+// dominate the profile. The pools below recycle them across calls; the
+// maximal-set exploration instead keeps per-worker scratch for the
+// length of one call (see explorer). Nothing pooled ever escapes into a
+// result: results are built from fresh or arena-owned storage, and each
+// helper's Put runs only after the last read of the scratch, so pooling
+// is invisible to the byte-identity contract (locked by the golden
+// corpus tests).
 
 import (
 	"sync"
@@ -49,39 +51,3 @@ func putLabelCounts(m map[Label]int) {
 	clear(m)
 	labelCountsPool.Put(m)
 }
-
-// choiceScratch is the per-call working state of fastNodeSet.allChoices:
-// the packed multiplicity vector and the expanded member lists of each
-// group. Pooled because the exploration strategy calls allChoices once
-// per (configuration, candidate-label) pair — the innermost loop of
-// SecondHalfStep.
-type choiceScratch struct {
-	counts  []uint64
-	members [][]int
-}
-
-// choicePool recycles choiceScratch values across allChoices calls.
-var choicePool = sync.Pool{New: func() any { return new(choiceScratch) }}
-
-// getChoiceScratch returns scratch with counts zeroed to words lanes and
-// members sized (but not filled) for groups entries.
-func getChoiceScratch(words, groups int) *choiceScratch {
-	cs := choicePool.Get().(*choiceScratch)
-	if cap(cs.counts) < words {
-		cs.counts = make([]uint64, words)
-	} else {
-		cs.counts = cs.counts[:words]
-		clear(cs.counts)
-	}
-	if cap(cs.members) < groups {
-		cs.members = make([][]int, groups)
-	} else {
-		cs.members = cs.members[:groups]
-	}
-	return cs
-}
-
-// putChoiceScratch recycles the scratch. The member lists themselves are
-// kept for reuse (their backing arrays are overwritten by the next
-// call's Indices fills).
-func putChoiceScratch(cs *choiceScratch) { choicePool.Put(cs) }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/intern"
@@ -11,8 +13,8 @@ import (
 
 // setArena is the hash-consed store backing one enumeration of maximal
 // set-configurations: label sets and whole configurations intern to
-// dense handles, so dedup maps, visited sets and memo keys are
-// handle-indexed and never materialize strings.
+// dense handles, so dedup maps and visited sets are handle-indexed and
+// never materialize strings.
 //
 // Handle values depend on interleaving when workers intern
 // concurrently; every ordering decision therefore goes through set
@@ -22,7 +24,6 @@ type setArena struct {
 	n    int           // universe (alphabet size of the half problem)
 	sets *intern.Table // label-set words
 	ids  *intern.Table // packed group sequences: setConfig identities
-	memo *intern.Table // packed group sequences + label: extension-memo keys
 }
 
 func newSetArena(n int) *setArena {
@@ -30,7 +31,6 @@ func newSetArena(n int) *setArena {
 		n:    n,
 		sets: intern.NewTable(0),
 		ids:  intern.NewTable(0),
-		memo: intern.NewTable(0),
 	}
 }
 
@@ -110,9 +110,9 @@ func singletonSetConfig(a *setArena, cfg Config) setConfig {
 }
 
 // appendGroupWords appends the packed encoding of the groups — one word
-// per group, set handle in the high half — to dst. Groups are in
-// canonical order, so the encoding identifies the configuration within
-// one arena.
+// per group, set handle in the high half, multiplicity in the low half —
+// to dst. Groups are in canonical order, so the encoding identifies the
+// configuration within one arena.
 func appendGroupWords(groups []scGroup, dst []uint64) []uint64 {
 	for _, g := range groups {
 		dst = append(dst, uint64(g.set)<<32|uint64(uint32(g.count)))
@@ -124,6 +124,16 @@ func appendGroupWords(groups []scGroup, dst []uint64) []uint64 {
 func (sc setConfig) id(a *setArena) intern.Handle {
 	var buf [16]uint64
 	return a.ids.Intern(appendGroupWords(sc.groups, buf[:0]))
+}
+
+// config materializes the set-configuration of an identity handle.
+func (a *setArena) config(id intern.Handle) setConfig {
+	words := a.ids.Seq(id)
+	groups := make([]scGroup, len(words))
+	for i, w := range words {
+		groups[i] = scGroup{set: intern.Handle(w >> 32), count: int(uint32(w))}
+	}
+	return setConfig{groups: groups}
 }
 
 // canonicalKey renders the legacy canonical identity string (set key,
@@ -145,41 +155,6 @@ func (sc setConfig) arity() int {
 		total += g.count
 	}
 	return total
-}
-
-// withLabelAdded returns the set-config obtained by adding label l to one
-// copy of group gi (splitting the group if its multiplicity exceeds 1).
-func (sc setConfig) withLabelAdded(a *setArena, gi int, l Label) setConfig {
-	groups := make([]scGroup, 0, len(sc.groups)+1)
-	for i, g := range sc.groups {
-		if i != gi {
-			groups = append(groups, g)
-			continue
-		}
-		if g.count > 1 {
-			groups = append(groups, scGroup{set: g.set, count: g.count - 1})
-		}
-		ext := a.view(g.set).Clone()
-		ext.Add(int(l))
-		groups = append(groups, scGroup{set: a.intern(ext), count: 1})
-	}
-	return canonicalize(a, groups)
-}
-
-// withoutOneOf returns the set-config with one copy of group gi removed.
-// Group order (hence canonicality) is preserved.
-func (sc setConfig) withoutOneOf(gi int) setConfig {
-	groups := make([]scGroup, 0, len(sc.groups))
-	for i, g := range sc.groups {
-		if i == gi {
-			if g.count > 1 {
-				groups = append(groups, scGroup{set: g.set, count: g.count - 1})
-			}
-			continue
-		}
-		groups = append(groups, g)
-	}
-	return setConfig{groups: groups}
 }
 
 // compare orders set-configs by content: group-wise set content, then
@@ -255,29 +230,6 @@ func (sc setConfig) allChoicesIn(a *setArena, h Constraint, extra []Label) bool 
 	return rec(0)
 }
 
-// maximalNodeSetConfigs enumerates the maximal set-configurations
-// {W_1, ..., W_Δ} such that every choice w_i ∈ W_i is a configuration of
-// half.Node — the node constraint of the simplified derived problem Π'_1
-// (Property 6 of Section 4.2).
-//
-// Algorithm: closure under the "combine" operation with antichain
-// (domination) pruning. Combining two valid set-configs A, B means fixing
-// a perfect matching between their slots, taking the union at one matched
-// pair and intersections at all others. The result is always valid: a
-// choice picking from the A-side of the union slot picks entrywise from A
-// (intersections are subsets of A's entries), and symmetrically for B.
-//
-// Completeness (every maximal valid config ends up in the antichain), by
-// induction on the total size of a valid config V: split one entry of V as
-// X1 ∪ X2; the two smaller valid configs are dominated by antichain
-// members W1, W2 by induction, and combining W1 with W2 under the matching
-// that aligns the dominated slots yields a config dominating V. Domination
-// pruning is safe because combinations from a dominator dominate the
-// corresponding combinations from the dominated config.
-//
-// Configurations with an empty entry are discarded: they are vacuously
-// valid but cannot occur in a solution (the empty label survives no edge
-// constraint), and the completeness induction never needs them.
 // scItem wraps a set-config with cached invariants that let most
 // domination tests fail fast.
 type scItem struct {
@@ -321,9 +273,11 @@ func (a scItem) dominatedBy(arena *setArena, b scItem) bool {
 	return a.sc.dominatedBy(arena, b.sc)
 }
 
-// maximalNodeSetConfigs dispatches to the configured enumeration
-// strategy; the returned arena resolves the handles of the returned
-// configurations.
+// maximalNodeSetConfigs enumerates the maximal set-configurations
+// {W_1, ..., W_Δ} such that every choice w_i ∈ W_i is a configuration of
+// half.Node — the node constraint of the simplified derived problem Π'_1
+// (Property 6 of Section 4.2) — with the configured strategy. The
+// returned arena resolves the handles of the returned configurations.
 func maximalNodeSetConfigs(half *Problem, o speedupOptions) ([]setConfig, *setArena, error) {
 	switch o.strategy {
 	case StrategyCombine:
@@ -338,10 +292,6 @@ func sortedByContent(a *setArena, configs []setConfig) []setConfig {
 	sort.Slice(configs, func(i, j int) bool { return configs[i].compare(a, configs[j]) < 0 })
 	return configs
 }
-
-// memoSentinel marks the label word terminating an extension-memo key,
-// keeping label words disjoint from packed group words.
-const memoSentinel = uint64(1) << 63
 
 // maximalNodeSetConfigsExplore enumerates maximal valid set-configurations
 // by upward exploration: starting from the configurations of half.Node (as
@@ -358,20 +308,30 @@ const memoSentinel = uint64(1) << 63
 // derivation of Section 4.6 for Δ up to ~8). For problems with a large
 // valid space but a small antichain, use StrategyCombine.
 //
+// Adding l to one copy of group g of a valid state S introduces exactly
+// the choices where that copy picks l, so l is a valid extension iff
+// c + l ∈ half.Node for every choice multiset c of S minus that copy.
+// The completion index turns this into one pass per (state, group): the
+// AND of the completion masks of those choices, minus g's own set, is
+// every label that extends g. States are identities in arena.ids
+// (packed group words), and children are built and interned in
+// per-worker scratch, so expanding a state allocates nothing.
+//
 // The exploration is level-synchronous: each frontier of newly visited
-// configurations is expanded in parallel (the validity checks dominate
-// the cost and are independent per state), and the results are merged
-// sequentially in frontier order. Because the reachable closure, the
-// maximal subset, and the sorted output are all schedule-independent,
-// every worker count produces byte-identical results, including the
-// budget-exceeded failure point.
+// states is expanded in parallel, and the children are merged
+// sequentially in frontier order against a dense visited bitmap. Because
+// the reachable closure, the maximal subset, and the sorted output are
+// all schedule-independent, every worker count produces byte-identical
+// results. So does the budget: the roots are admitted free, and the step
+// fails iff the valid set-configurations (all entries non-empty)
+// outnumber max(maxStates, |h|).
 func maximalNodeSetConfigsExplore(half *Problem, o speedupOptions) ([]setConfig, *setArena, error) {
 	n := half.Alpha.Size()
 	if half.Delta() > 255 {
 		return nil, nil, fmt.Errorf("core: second half step: Δ=%d exceeds the supported 255", half.Delta())
 	}
 	arena := newSetArena(n)
-	valid := newFastNodeSet(half)
+	index := newCompletionIndex(half.Node, n)
 	maxStates := o.maxStates
 
 	// visited/maximal are dense over the identity arena; handle values
@@ -380,97 +340,65 @@ func maximalNodeSetConfigsExplore(half *Problem, o speedupOptions) ([]setConfig,
 	// is schedule-independent.
 	var visited boolByHandle
 	visitedCount := 0
-	var maximal []setConfig
-	var frontier []setConfig
+	var maximal, frontier, spare []intern.Handle
 	for _, cfg := range half.Node.Configs() {
-		sc := singletonSetConfig(arena, cfg)
-		id := sc.id(arena)
+		id := singletonSetConfig(arena, cfg).id(arena)
 		if !visited.get(id) {
 			visited.set(id)
 			visitedCount++
-			frontier = append(frontier, sc)
+			frontier = append(frontier, id)
 		}
 	}
 
-	// Extension-validity results are shared across workers and levels:
-	// the check for (reduced config, label) does not depend on which
-	// state asked, so duplicated concurrent computation is harmless and
-	// the cache stays coherent.
-	var extMemo sync.Map
-	type candidate struct {
-		sc setConfig
-		id intern.Handle
+	explorers := make([]*explorer, o.workerCount(math.MaxInt))
+	for w := range explorers {
+		explorers[w] = &explorer{arena: arena, index: index,
+			key: make([]byte, n), mask: bitset.New(n), grown: bitset.New(n)}
 	}
-	type expansion struct {
-		extended bool
-		next     []candidate
-	}
+	// spans[i] locates the children of frontier[i] in the buffer of the
+	// worker that expanded it.
+	type span struct{ worker, lo, hi int }
+	var spans []span
 	for len(frontier) > 0 {
-		results := make([]expansion, len(frontier))
-		workers := o.workerCount(len(frontier))
-		runIndexed(workers, len(frontier), func(i int) {
-			sc := frontier[i]
-			var ex expansion
-			var keyBuf []uint64
-			for gi := range sc.groups {
-				g := sc.groups[gi]
-				gset := arena.view(g.set)
-				reduced := sc.withoutOneOf(gi)
-				// One memo key buffer per (state, slot): the group
-				// prefix stays, only the trailing label word varies.
-				keyBuf = appendGroupWords(reduced.groups, keyBuf[:0])
-				keyBuf = append(keyBuf, 0)
-				for l := 0; l < n; l++ {
-					if gset.Contains(l) {
-						continue
-					}
-					// Adding l to one copy of group gi introduces exactly
-					// the choices where that copy picks l; all other
-					// choices are choices of sc and already valid.
-					keyBuf[len(keyBuf)-1] = memoSentinel | uint64(l)
-					memoKey := arena.memo.Intern(keyBuf)
-					var ok bool
-					if v, seen := extMemo.Load(memoKey); seen {
-						ok = v.(bool)
-					} else {
-						ok = valid.allChoices(arena, reduced.groups, Label(l))
-						extMemo.Store(memoKey, ok)
-					}
-					if !ok {
-						continue
-					}
-					ex.extended = true
-					next := sc.withLabelAdded(arena, gi, Label(l))
-					ex.next = append(ex.next, candidate{sc: next, id: next.id(arena)})
-				}
-			}
-			results[i] = ex
+		for _, x := range explorers {
+			x.children = x.children[:0]
+		}
+		spans = slices.Grow(spans[:0], len(frontier))[:len(frontier)]
+		_ = runSharded(o.workerCount(len(frontier)), len(frontier), func(w, i int) error {
+			x := explorers[w]
+			lo := len(x.children)
+			x.expand(frontier[i])
+			spans[i] = span{worker: w, lo: lo, hi: len(x.children)}
+			return nil
 		})
 
-		// Sequential merge, in frontier order: dedupe against the global
-		// visited set and enforce the budget. Identities were interned in
-		// the parallel phase, so this is dense bitmap traffic only.
-		next := frontier[:0:0]
-		for i, sc := range frontier {
-			if !results[i].extended {
-				maximal = append(maximal, sc)
+		next := spare[:0]
+		for i, id := range frontier {
+			sp := spans[i]
+			if sp.lo == sp.hi {
+				maximal = append(maximal, id)
 				continue
 			}
-			for _, cand := range results[i].next {
-				if !visited.get(cand.id) {
-					if visitedCount >= maxStates {
-						return nil, nil, fmt.Errorf("core: second half step: exceeded state budget of %d set-configurations: %w", maxStates, ErrStateBudget)
-					}
-					visited.set(cand.id)
-					visitedCount++
-					next = append(next, cand.sc)
+			for _, child := range explorers[sp.worker].children[sp.lo:sp.hi] {
+				if visited.get(child) {
+					continue
 				}
+				if visitedCount >= maxStates {
+					return nil, nil, fmt.Errorf("core: second half step: exceeded state budget of %d set-configurations: %w", maxStates, ErrStateBudget)
+				}
+				visited.set(child)
+				visitedCount++
+				next = append(next, child)
 			}
 		}
-		frontier = next
+		frontier, spare = next, frontier
 	}
 
-	return sortedByContent(arena, maximal), arena, nil
+	configs := make([]setConfig, len(maximal))
+	for i, id := range maximal {
+		configs[i] = arena.config(id)
+	}
+	return sortedByContent(arena, configs), arena, nil
 }
 
 // boolByHandle is a growable dense bitmap indexed by intern handles.
@@ -487,79 +415,166 @@ func (b *boolByHandle) set(h intern.Handle) {
 	(*b)[h] = true
 }
 
-// fastNodeSet indexes a node constraint for fast "is this choice
-// multiset allowed" queries during enumeration: multiplicity vectors
-// are packed eight byte-lanes per word (multiplicities are ≤ Δ ≤ 255)
-// and membership is an arena probe — no per-leaf allocation.
-type fastNodeSet struct {
-	m     int // alphabet size
-	words int // packed words per vector
-	tab   *intern.Table
+// completionIndex maps every (Δ−1)-sub-multiset c of a configuration of
+// a node constraint h to the labels l with c + l ∈ h, as a mask over the
+// alphabet. Keys are multiplicity vectors, one byte per label (Δ ≤ 255);
+// a multiset with no entry completes to nothing. Read-only once built,
+// so concurrent workers share it without locking.
+type completionIndex struct {
+	at    map[string]int // key → offset of its mask in masks
+	masks []uint64
+	words int // words per mask
 }
 
-func newFastNodeSet(p *Problem) fastNodeSet {
-	f := fastNodeSet{m: p.Alpha.Size(), words: (p.Alpha.Size() + 7) / 8}
-	f.tab = intern.NewTable(p.Node.Size())
-	packed := make([]uint64, f.words)
-	for _, cfg := range p.Node.Configs() {
-		for i := range packed {
-			packed[i] = 0
-		}
-		cfg.ForEach(func(l Label, c int) { packed[int(l)/8] |= uint64(uint8(c)) << (8 * (uint(l) % 8)) })
-		f.tab.Intern(packed)
-	}
-	return f
-}
-
-// lane returns the packed-word increment for one occurrence of label l.
-func (f fastNodeSet) lane(l Label) (int, uint64) {
-	return int(l) / 8, uint64(1) << (8 * (uint(l) % 8))
-}
-
-// allChoices reports whether every choice multiset from groups, plus one
-// occurrence of extra, is an allowed configuration. Read-only on the
-// arena, so concurrent workers share it freely.
-func (f fastNodeSet) allChoices(a *setArena, groups []scGroup, extra Label) bool {
-	cs := getChoiceScratch(f.words, len(groups))
-	defer putChoiceScratch(cs)
-	counts, members := cs.counts, cs.members
-	w, inc := f.lane(extra)
-	counts[w] += inc
-	for i, g := range groups {
-		members[i] = a.view(g.set).AppendIndices(members[i][:0])
-	}
-	var rec func(gi int) bool
-	rec = func(gi int) bool {
-		if gi == len(groups) {
-			_, ok := f.tab.Lookup(counts)
-			return ok
-		}
-		g := groups[gi]
-		var choose func(start, remaining int) bool
-		choose = func(start, remaining int) bool {
-			if remaining == 0 {
-				return rec(gi + 1)
+func newCompletionIndex(h Constraint, n int) completionIndex {
+	ix := completionIndex{at: make(map[string]int, h.Size()), words: (n + 63) / 64}
+	key := make([]byte, n)
+	for _, cfg := range h.Configs() {
+		clear(key)
+		cfg.ForEach(func(l Label, c int) { key[l] = byte(c) })
+		cfg.ForEach(func(l Label, _ int) {
+			key[l]--
+			off, ok := ix.at[string(key)]
+			if !ok {
+				off = len(ix.masks)
+				ix.at[string(key)] = off
+				ix.masks = append(ix.masks, make([]uint64, ix.words)...)
 			}
-			for i := start; i < len(members[gi]); i++ {
-				w, inc := f.lane(Label(members[gi][i]))
-				counts[w] += inc
-				ok := choose(i, remaining-1)
-				counts[w] -= inc
-				if !ok {
-					return false
-				}
-			}
-			return true
-		}
-		return choose(0, g.count)
+			ix.masks[off+int(l)/64] |= 1 << (uint(l) % 64)
+			key[l]++
+		})
 	}
-	return rec(0)
+	return ix
 }
 
-// maximalNodeSetConfigsCombine enumerates maximal valid set-configurations
-// via closure under the combine operation with antichain pruning; see the
-// package documentation of combineAll. Better suited than exploration when
-// the space of valid configurations is huge but the antichain is small.
+// explorer is one worker's scratch for expanding exploration states.
+// Its buffers are reused from state to state and level to level.
+type explorer struct {
+	arena   *setArena
+	index   completionIndex
+	sets    []bitset.Set // groups of the state being expanded
+	counts  []int        // their multiplicities (one less for the slot being extended)
+	members [][]int      // their member labels
+	key     []byte       // multiplicity vector of the choice being enumerated
+	mask    bitset.Set   // AND of the completion masks seen so far
+	grown   bitset.Set   // the extended slot's set plus the added label
+	words   []uint64     // packed groups of the child being built
+	// children collects the identities found this level, in frontier
+	// order per state, group by group and by ascending label.
+	children []intern.Handle
+}
+
+// expand appends the identity of every single-label extension of state
+// id to x.children.
+func (x *explorer) expand(id intern.Handle) {
+	state := x.arena.ids.Seq(id)
+	x.sets, x.counts = x.sets[:0], x.counts[:0]
+	for len(x.members) < len(state) {
+		x.members = append(x.members, nil)
+	}
+	for j, w := range state {
+		s := x.arena.view(intern.Handle(w >> 32))
+		x.sets = append(x.sets, s)
+		x.counts = append(x.counts, int(uint32(w)))
+		x.members[j] = s.AppendIndices(x.members[j][:0])
+	}
+	for gi, slot := range x.sets {
+		x.counts[gi]--
+		x.mask.FillInPlace()
+		x.narrow(slot, 0, 0, x.counts[0])
+		x.counts[gi]++
+		sw := slot.Words()
+		for w, m := range x.mask.Words() {
+			for ext := m &^ sw[w]; ext != 0; ext &= ext - 1 {
+				x.children = append(x.children, x.child(state, gi, w*64+bits.TrailingZeros64(ext)))
+			}
+		}
+	}
+}
+
+// narrow ANDs into x.mask the completion masks of every choice multiset
+// of the state's groups from j on — left more picks from group j, at
+// member index from or later — and reports false as soon as no label
+// outside slot survives: then slot has no extension left to find.
+func (x *explorer) narrow(slot bitset.Set, j, from, left int) bool {
+	for left == 0 {
+		if j++; j == len(x.counts) {
+			off, ok := x.index.at[string(x.key)]
+			if !ok {
+				x.mask.ClearInPlace()
+				return false
+			}
+			x.mask.IntersectInPlace(bitset.Wrap(x.arena.n, x.index.masks[off:off+x.index.words]))
+			return !x.mask.SubsetOf(slot)
+		}
+		from, left = 0, x.counts[j]
+	}
+	members := x.members[j]
+	for i := from; i < len(members); i++ {
+		x.key[members[i]]++
+		ok := x.narrow(slot, j, i, left-1)
+		x.key[members[i]]--
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// child interns the state with label l added to one copy of group gi.
+// The grown set is inserted at its content position, or merged into an
+// equal group, so the packed words stay canonical without sorting.
+func (x *explorer) child(state []uint64, gi, l int) intern.Handle {
+	copy(x.grown.Words(), x.sets[gi].Words())
+	x.grown.Add(l)
+	h := x.arena.intern(x.grown)
+	placed := false
+	x.words = x.words[:0]
+	for j, w := range state {
+		if !placed {
+			if intern.Handle(w>>32) == h {
+				w++
+				placed = true
+			} else if bitset.Compare(x.grown, x.sets[j]) < 0 {
+				x.words = append(x.words, uint64(h)<<32|1)
+				placed = true
+			}
+		}
+		if j == gi {
+			w--
+		}
+		if uint32(w) > 0 {
+			x.words = append(x.words, w)
+		}
+	}
+	if !placed {
+		x.words = append(x.words, uint64(h)<<32|1)
+	}
+	return x.arena.ids.Intern(x.words)
+}
+
+// maximalNodeSetConfigsCombine enumerates the maximal valid
+// set-configurations by closure under the "combine" operation with
+// antichain (domination) pruning. Better suited than exploration when the
+// space of valid configurations is huge but the antichain is small.
+//
+// Combining two valid set-configs A, B means fixing
+// a perfect matching between their slots, taking the union at one matched
+// pair and intersections at all others. The result is always valid: a
+// choice picking from the A-side of the union slot picks entrywise from A
+// (intersections are subsets of A's entries), and symmetrically for B.
+//
+// Completeness (every maximal valid config ends up in the antichain), by
+// induction on the total size of a valid config V: split one entry of V as
+// X1 ∪ X2; the two smaller valid configs are dominated by antichain
+// members W1, W2 by induction, and combining W1 with W2 under the matching
+// that aligns the dominated slots yields a config dominating V. Domination
+// pruning is safe because combinations from a dominator dominate the
+// corresponding combinations from the dominated config.
+//
+// Configurations with an empty entry are discarded: they are vacuously
+// valid but cannot occur in a solution (the empty label survives no edge
+// constraint), and the completeness induction never needs them.
 func maximalNodeSetConfigsCombine(half *Problem, maxStates int) ([]setConfig, *setArena, error) {
 	n := half.Alpha.Size()
 	arena := newSetArena(n)

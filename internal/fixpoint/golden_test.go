@@ -1,6 +1,7 @@
 package fixpoint_test
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fixpoint"
 	"repro/internal/problems"
+	"repro/internal/problems/gen"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden trajectory files")
@@ -58,24 +60,84 @@ func TestCatalogTrajectoriesGolden(t *testing.T) {
 				}
 			}
 
-			path := filepath.Join("testdata", "golden", goldenFileName(e.Name))
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(rendered), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if rendered != string(want) {
-				t.Fatalf("trajectory differs from pre-refactor golden %s:\ngot:\n%s\nwant:\n%s", path, rendered, want)
-			}
+			checkGolden(t, goldenFileName(e.Name), rendered)
 		})
+	}
+}
+
+// The generated golden covers the space servebench's cold-gen and
+// warm-hot workloads draw from, at their budgets. Unlike the catalog
+// at goldenMaxStates, this space reaches the state-budget failure path
+// of core's maximal-set search (20 of its 256 points end there).
+const (
+	genGoldenSpec      = "family=rand,seed=1,count=256,delta=3,labels=3"
+	genGoldenMaxSteps  = 4
+	genGoldenMaxStates = 2000
+)
+
+// TestGeneratedTrajectoriesGolden locks, for every point of
+// genGoldenSpec, the classification, step count and a sha256 of the
+// rendered trajectory plus any budget error text, for workers 1 and 4.
+// The file was captured before the exploration was rewritten to a
+// mask-based search.
+func TestGeneratedTrajectoriesGolden(t *testing.T) {
+	sp, err := gen.ParseSpec(genGoldenSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rendered string
+	for _, workers := range []int{1, 4} {
+		var sb strings.Builder
+		for i := 0; i < sp.Count; i++ {
+			p, err := sp.Point(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := fixpoint.Run(p, fixpoint.Options{
+				MaxSteps: genGoldenMaxSteps,
+				Core: []core.Option{
+					core.WithMaxStates(genGoldenMaxStates),
+					core.WithWorkers(workers),
+				},
+			})
+			if err != nil {
+				t.Fatalf("point %d, workers=%d: %v", i, workers, err)
+			}
+			text := renderTrajectory(res)
+			if res.Err != nil {
+				text += "error: " + res.Err.Error() + "\n"
+			}
+			fmt.Fprintf(&sb, "%d\t%s\t%d\t%x\n", i, res.Kind, res.Steps, sha256.Sum256([]byte(text)))
+		}
+		if workers == 1 {
+			rendered = sb.String()
+		} else if sb.String() != rendered {
+			t.Fatalf("generated trajectories diverged between workers 1 and %d", workers)
+		}
+	}
+	checkGolden(t, "gen_rand_seed1_delta3_labels3.txt", rendered)
+}
+
+// checkGolden compares rendered with testdata/golden/name, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, name, rendered string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(rendered), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if rendered != string(want) {
+		t.Fatalf("output differs from golden %s:\ngot:\n%s\nwant:\n%s", path, rendered, want)
 	}
 }
 
