@@ -110,24 +110,18 @@ func BenchmarkE4SuperweakHalf(b *testing.B) {
 	}
 }
 
-// BenchmarkE4SuperweakFull: the full derivation at the enumerable Δ=3,
-// comparing both maximal-configuration strategies.
+// BenchmarkE4SuperweakFull: the second half step of the full derivation
+// at the enumerable Δ=3.
 func BenchmarkE4SuperweakFull(b *testing.B) {
 	half, err := superweak.TritHalfProblem(2, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, s := range []struct {
-		name string
-		st   core.Strategy
-	}{{"explore", core.StrategyExplore}, {"combine", core.StrategyCombine}} {
-		b.Run(s.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.SecondHalfStep(half, core.WithStrategy(s.st)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.SecondHalfStep(half); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -138,7 +132,7 @@ func BenchmarkE4Lemma2JStar(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	full, err := core.SecondHalfStep(half, core.WithStrategy(core.StrategyCombine))
+	full, err := core.SecondHalfStep(half)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -562,14 +556,14 @@ func BenchmarkF1Independence(b *testing.B) {
 	}
 }
 
-// BenchmarkF2SuperweakVerify: the Figure 2 style output verifier plus the
-// Lemma 3 transformation on the 3-cube.
+// BenchmarkF2SuperweakTransform: the Lemma 3 transformation plus the
+// Figure 2 style output verifier on the 3-cube.
 func BenchmarkF2SuperweakTransform(b *testing.B) {
 	half, err := superweak.TritHalfProblem(2, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	full, err := core.SecondHalfStep(half, core.WithStrategy(core.StrategyCombine))
+	full, err := core.SecondHalfStep(half)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, err := core.SecondHalfStep(half, core.WithStrategy(core.StrategyCombine))
+	full, err := core.SecondHalfStep(half)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,9 +44,9 @@ func main() {
 	g := b.Build()
 
 	// Restrict to configurations whose Lemma 2 set J* exists under every
-	// orientation (the unconditional guarantee needs Δ ≥ 2^(4k)+1; see
-	// DESIGN.md). A restriction is a harder problem, so its solutions
-	// solve Π'_1.
+	// orientation: the paper guarantees J* unconditionally only from
+	// Lemma 1's bound Δ ≥ 2^(4k)+1 (257 for k=2) on. A restriction is a
+	// harder problem, so its solutions solve Π'_1.
 	restricted := jStarFriendly(half, full)
 	sol, ok, err := solve.Solve(g, restricted, solve.Options{})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // Outputs are labels of problems.WeakTwoColoringPointer(Δ).
 //
 // The algorithm (a provably correct variant in the spirit of
-// Naor–Stockmeyer; see DESIGN.md for the substitution note):
+// Naor–Stockmeyer):
 //
 //  1. Orient every edge from lower to higher ID. Since Δ is odd, every
 //     node has strictly more outgoing or strictly more incoming edges;

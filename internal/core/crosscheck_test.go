@@ -64,10 +64,10 @@ func TestHalfStepEdgePairsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestMaximalNodeConfigsStrategiesAgree validates that both enumeration
-// strategies produce identical maximal node configurations, and that both
-// match the exponential brute force, on random small half problems.
-func TestMaximalNodeConfigsStrategiesAgree(t *testing.T) {
+// TestMaximalNodeConfigsMatchBruteForce validates the maximal-set
+// enumeration against the exponential brute force on random small half
+// problems.
+func TestMaximalNodeConfigsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for iter := 0; iter < 120; iter++ {
 		// Use a random problem directly as a "half" problem: the
@@ -76,25 +76,16 @@ func TestMaximalNodeConfigsStrategiesAgree(t *testing.T) {
 		if half.Node.Size() == 0 {
 			continue
 		}
-		explore, err := MaximalNodeSetConfigKeys(half, StrategyExplore, 1_000_000)
+		got, err := MaximalNodeSetConfigKeys(half, 1_000_000)
 		if err != nil {
-			t.Fatalf("iter %d: explore: %v", iter, err)
-		}
-		combine, err := MaximalNodeSetConfigKeys(half, StrategyCombine, 1_000_000)
-		if err != nil {
-			t.Fatalf("iter %d: combine: %v", iter, err)
+			t.Fatalf("iter %d: enumeration: %v", iter, err)
 		}
 		brute := BruteMaximalNodeSetConfigKeys(half)
-		sort.Strings(explore)
-		sort.Strings(combine)
+		sort.Strings(got)
 		sort.Strings(brute)
-		if !equalStrings(explore, combine) {
-			t.Fatalf("iter %d: strategies disagree\nexplore: %v\ncombine: %v\nproblem:\n%s",
-				iter, explore, combine, half.String())
-		}
-		if !equalStrings(explore, brute) {
+		if !equalStrings(got, brute) {
 			t.Fatalf("iter %d: enumeration disagrees with brute force\ngot:  %v\nwant: %v\nproblem:\n%s",
-				iter, explore, brute, half.String())
+				iter, got, brute, half.String())
 		}
 	}
 }

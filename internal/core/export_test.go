@@ -1,11 +1,17 @@
 package core
 
+import (
+	"fmt"
+
+	"repro/internal/bitset"
+)
+
 // Test-only exports of internal machinery for cross-validation.
 
-// MaximalNodeSetConfigKeys runs the given enumeration strategy and returns
+// MaximalNodeSetConfigKeys runs the maximal-set enumeration and returns
 // the canonical keys of the maximal set-configurations.
-func MaximalNodeSetConfigKeys(half *Problem, s Strategy, maxStates int) ([]string, error) {
-	configs, arena, err := maximalNodeSetConfigs(half, speedupOptions{maxStates: maxStates, strategy: s})
+func MaximalNodeSetConfigKeys(half *Problem, maxStates int) ([]string, error) {
+	configs, arena, err := maximalNodeSetConfigs(half, speedupOptions{maxStates: maxStates})
 	if err != nil {
 		return nil, err
 	}
@@ -14,6 +20,17 @@ func MaximalNodeSetConfigKeys(half *Problem, s Strategy, maxStates int) ([]strin
 		keys[i] = sc.canonicalKey(arena)
 	}
 	return keys, nil
+}
+
+// canonicalKey renders a set-config's canonical identity string (set
+// key, '#', multiplicity, '|'); groups are already in content order, so
+// the rendering is comparable across arenas.
+func (sc setConfig) canonicalKey(a *setArena) string {
+	out := ""
+	for _, g := range sc.groups {
+		out += a.view(g.set).Key() + "#" + fmt.Sprint(g.count) + "|"
+	}
+	return out
 }
 
 // BruteMaximalNodeSetConfigKeys enumerates every multiset of non-empty
@@ -40,7 +57,7 @@ func BruteMaximalNodeSetConfigKeys(half *Problem) []string {
 
 // BruteValidNodeSetConfigCount counts, by the same power-set brute
 // force, every multiset of non-empty subsets whose every choice is in
-// the node constraint: the state space the exploration strategy visits,
+// the node constraint: the state space the exploration visits,
 // hence the count its state budget is charged against.
 func BruteValidNodeSetConfigCount(half *Problem) int {
 	valid, _ := bruteValidNodeSetConfigs(half)
@@ -65,6 +82,72 @@ func bruteValidNodeSetConfigs(half *Problem) ([]setConfig, *setArena) {
 		}
 	})
 	return valid, arena
+}
+
+// dominatedBy reports whether sc is entrywise dominated by other: there is
+// a matching between slots such that each set of sc is a subset of its
+// partner in other. Used by the brute-force reference.
+func (sc setConfig) dominatedBy(a *setArena, other setConfig) bool {
+	if sc.arity() != other.arity() {
+		return false
+	}
+	// Bipartite matching between expanded slots with the subset relation.
+	left := sc.expand(a)
+	right := other.expand(a)
+	adj := make([][]int, len(left))
+	for i, x := range left {
+		for j, y := range right {
+			if x.SubsetOf(y) {
+				adj[i] = append(adj[i], j)
+			}
+		}
+	}
+	matchR := make([]int, len(right))
+	for i := range matchR {
+		matchR[i] = -1
+	}
+	var try func(u int, seen []bool) bool
+	try = func(u int, seen []bool) bool {
+		for _, v := range adj[u] {
+			if seen[v] {
+				continue
+			}
+			seen[v] = true
+			if matchR[v] == -1 || try(matchR[v], seen) {
+				matchR[v] = u
+				return true
+			}
+		}
+		return false
+	}
+	for u := range left {
+		seen := make([]bool, len(right))
+		if !try(u, seen) {
+			return false
+		}
+	}
+	return true
+}
+
+// expand returns the slots of the set-config as a flat slice of sets.
+func (sc setConfig) expand(a *setArena) []bitset.Set {
+	out := make([]bitset.Set, 0, sc.arity())
+	for _, g := range sc.groups {
+		s := a.view(g.set)
+		for i := 0; i < g.count; i++ {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// arity returns the total slot count.
+func (sc setConfig) arity() int {
+	total := 0
+	for _, g := range sc.groups {
+		total += g.count
+	}
+	return total
 }
 
 func dedupSorted(keys []string) []string {

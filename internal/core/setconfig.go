@@ -136,27 +136,6 @@ func (a *setArena) config(id intern.Handle) setConfig {
 	return setConfig{groups: groups}
 }
 
-// canonicalKey renders the legacy canonical identity string (set key,
-// '#', multiplicity, '|'); groups are already in content order, so the
-// rendering is comparable across arenas. Test-only cross-validation
-// boundary — the engine itself never builds it.
-func (sc setConfig) canonicalKey(a *setArena) string {
-	out := ""
-	for _, g := range sc.groups {
-		out += a.view(g.set).Key() + "#" + fmt.Sprint(g.count) + "|"
-	}
-	return out
-}
-
-// arity returns the total slot count.
-func (sc setConfig) arity() int {
-	total := 0
-	for _, g := range sc.groups {
-		total += g.count
-	}
-	return total
-}
-
 // compare orders set-configs by content: group-wise set content, then
 // multiplicity, then group count. A total order independent of handle
 // numbering, used to emit enumeration results deterministically.
@@ -230,83 +209,22 @@ func (sc setConfig) allChoicesIn(a *setArena, h Constraint, extra []Label) bool 
 	return rec(0)
 }
 
-// scItem wraps a set-config with cached invariants that let most
-// domination tests fail fast.
-type scItem struct {
-	sc          setConfig
-	sortedSizes []int      // entry sizes ascending
-	union       bitset.Set // union of all entries
-	total       int        // sum of entry sizes
-}
-
-func newSCItem(a *setArena, sc setConfig) scItem {
-	it := scItem{sc: sc, union: bitset.New(a.n)}
-	for _, g := range sc.groups {
-		s := a.view(g.set)
-		sz := s.Count()
-		for c := 0; c < g.count; c++ {
-			it.sortedSizes = append(it.sortedSizes, sz)
-			it.total += sz
-		}
-		it.union.UnionInPlace(s)
-	}
-	sort.Ints(it.sortedSizes)
-	return it
-}
-
-// dominatedBy reports whether a ⊑ b, using the cached invariants as
-// necessary-condition prefilters before the bipartite matching test.
-func (a scItem) dominatedBy(arena *setArena, b scItem) bool {
-	if a.total > b.total || len(a.sortedSizes) != len(b.sortedSizes) {
-		return false
-	}
-	for i, sz := range a.sortedSizes {
-		// If a slot-size bijection with entrywise ⊆ exists, the ascending
-		// size sequences are pointwise ordered.
-		if sz > b.sortedSizes[i] {
-			return false
-		}
-	}
-	if !a.union.SubsetOf(b.union) {
-		return false
-	}
-	return a.sc.dominatedBy(arena, b.sc)
-}
-
 // maximalNodeSetConfigs enumerates the maximal set-configurations
 // {W_1, ..., W_Δ} such that every choice w_i ∈ W_i is a configuration of
 // half.Node — the node constraint of the simplified derived problem Π'_1
-// (Property 6 of Section 4.2) — with the configured strategy. The
-// returned arena resolves the handles of the returned configurations.
-func maximalNodeSetConfigs(half *Problem, o speedupOptions) ([]setConfig, *setArena, error) {
-	switch o.strategy {
-	case StrategyCombine:
-		return maximalNodeSetConfigsCombine(half, o.maxStates)
-	default:
-		return maximalNodeSetConfigsExplore(half, o)
-	}
-}
-
-// sortedByContent returns the configurations in canonical content order.
-func sortedByContent(a *setArena, configs []setConfig) []setConfig {
-	sort.Slice(configs, func(i, j int) bool { return configs[i].compare(a, configs[j]) < 0 })
-	return configs
-}
-
-// maximalNodeSetConfigsExplore enumerates maximal valid set-configurations
-// by upward exploration: starting from the configurations of half.Node (as
-// singleton set-configs), repeatedly add a single label to a single slot,
-// keeping only additions that preserve validity ("every choice lies in
-// half.Node"). Every intermediate state on the way to a maximal
-// configuration T is entrywise between one of T's choice lines and T
-// itself, hence valid, so the exploration is complete; a configuration
-// with no valid single-label extension is maximal because supersets of
-// invalid configurations are invalid.
+// (Property 6 of Section 4.2) — in content order. The returned arena
+// resolves the handles of the returned configurations.
 //
-// The state space is the set of all valid set-configurations, which is the
-// right trade-off when that space is moderate (e.g. the weak 2-coloring
-// derivation of Section 4.6 for Δ up to ~8). For problems with a large
-// valid space but a small antichain, use StrategyCombine.
+// The enumeration explores upward: starting from the configurations of
+// half.Node (as singleton set-configs), repeatedly add a single label to
+// a single slot, keeping only additions that preserve validity ("every
+// choice lies in half.Node"). Every intermediate state on the way to a
+// maximal configuration T is entrywise between one of T's choice lines
+// and T itself, hence valid, so the exploration is complete; a
+// configuration with no valid single-label extension is maximal because
+// supersets of invalid configurations are invalid. The work therefore
+// grows with the number of valid set-configurations, not with the number
+// of maximal ones, and the state budget below bounds it.
 //
 // Adding l to one copy of group g of a valid state S introduces exactly
 // the choices where that copy picks l, so l is a valid extension iff
@@ -325,7 +243,7 @@ func sortedByContent(a *setArena, configs []setConfig) []setConfig {
 // results. So does the budget: the roots are admitted free, and the step
 // fails iff the valid set-configurations (all entries non-empty)
 // outnumber max(maxStates, |h|).
-func maximalNodeSetConfigsExplore(half *Problem, o speedupOptions) ([]setConfig, *setArena, error) {
+func maximalNodeSetConfigs(half *Problem, o speedupOptions) ([]setConfig, *setArena, error) {
 	n := half.Alpha.Size()
 	if half.Delta() > 255 {
 		return nil, nil, fmt.Errorf("core: second half step: Δ=%d exceeds the supported 255", half.Delta())
@@ -398,7 +316,8 @@ func maximalNodeSetConfigsExplore(half *Problem, o speedupOptions) ([]setConfig,
 	for i, id := range maximal {
 		configs[i] = arena.config(id)
 	}
-	return sortedByContent(arena, configs), arena, nil
+	slices.SortFunc(configs, func(x, y setConfig) int { return x.compare(arena, y) })
+	return configs, arena, nil
 }
 
 // boolByHandle is a growable dense bitmap indexed by intern handles.
@@ -551,309 +470,4 @@ func (x *explorer) child(state []uint64, gi, l int) intern.Handle {
 		x.words = append(x.words, uint64(h)<<32|1)
 	}
 	return x.arena.ids.Intern(x.words)
-}
-
-// maximalNodeSetConfigsCombine enumerates the maximal valid
-// set-configurations by closure under the "combine" operation with
-// antichain (domination) pruning. Better suited than exploration when the
-// space of valid configurations is huge but the antichain is small.
-//
-// Combining two valid set-configs A, B means fixing
-// a perfect matching between their slots, taking the union at one matched
-// pair and intersections at all others. The result is always valid: a
-// choice picking from the A-side of the union slot picks entrywise from A
-// (intersections are subsets of A's entries), and symmetrically for B.
-//
-// Completeness (every maximal valid config ends up in the antichain), by
-// induction on the total size of a valid config V: split one entry of V as
-// X1 ∪ X2; the two smaller valid configs are dominated by antichain
-// members W1, W2 by induction, and combining W1 with W2 under the matching
-// that aligns the dominated slots yields a config dominating V. Domination
-// pruning is safe because combinations from a dominator dominate the
-// corresponding combinations from the dominated config.
-//
-// Configurations with an empty entry are discarded: they are vacuously
-// valid but cannot occur in a solution (the empty label survives no edge
-// constraint), and the completeness induction never needs them.
-func maximalNodeSetConfigsCombine(half *Problem, maxStates int) ([]setConfig, *setArena, error) {
-	n := half.Alpha.Size()
-	arena := newSetArena(n)
-
-	var items []scItem
-	var alive []bool
-	var seen boolByHandle
-
-	insert := func(sc setConfig) error {
-		id := sc.id(arena)
-		if seen.get(id) {
-			// Already processed; if it was killed, its dominator covers it.
-			return nil
-		}
-		seen.set(id)
-		it := newSCItem(arena, sc)
-		for i := range items {
-			if alive[i] && it.dominatedBy(arena, items[i]) {
-				return nil
-			}
-		}
-		for i := range items {
-			if alive[i] && items[i].dominatedBy(arena, it) {
-				alive[i] = false
-			}
-		}
-		if len(items) >= maxStates {
-			return fmt.Errorf("core: second half step: exceeded state budget of %d set-configurations: %w", maxStates, ErrStateBudget)
-		}
-		items = append(items, it)
-		alive = append(alive, true)
-		return nil
-	}
-
-	for _, cfg := range half.Node.Configs() {
-		if err := insert(singletonSetConfig(arena, cfg)); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	for i := 0; i < len(items); i++ {
-		if !alive[i] {
-			continue
-		}
-		for j := 0; j <= i && alive[i]; j++ {
-			if !alive[j] {
-				continue
-			}
-			var combineErr error
-			combineAll(arena, items[i].sc, items[j].sc, func(c setConfig) bool {
-				if combineErr == nil {
-					combineErr = insert(c)
-				}
-				return combineErr == nil
-			})
-			if combineErr != nil {
-				return nil, nil, combineErr
-			}
-		}
-	}
-
-	var maximal []setConfig
-	for i, it := range items {
-		if alive[i] {
-			maximal = append(maximal, it.sc)
-		}
-	}
-	return sortedByContent(arena, maximal), arena, nil
-}
-
-// combineAll enumerates the results of combining set-configs a and b under
-// every perfect slot matching and every choice of union slot, emitting
-// each candidate that has no empty entry. Matchings are enumerated as
-// contingency tables between the group multiplicities, which collapses the
-// factorially many slot matchings to their distinct outcomes. emit returns
-// false to stop early.
-func combineAll(arena *setArena, a, b setConfig, emit func(setConfig) bool) {
-	ra, rb := len(a.groups), len(b.groups)
-	if ra == 0 || rb == 0 {
-		return
-	}
-	aSets := make([]bitset.Set, ra)
-	for i := range aSets {
-		aSets[i] = arena.view(a.groups[i].set)
-	}
-	bSets := make([]bitset.Set, rb)
-	for j := range bSets {
-		bSets[j] = arena.view(b.groups[j].set)
-	}
-	// inter[i][j] caches A_i ∩ B_j.
-	inter := make([][]bitset.Set, ra)
-	for i := range inter {
-		inter[i] = make([]bitset.Set, rb)
-		for j := range inter[i] {
-			inter[i][j] = aSets[i].Intersect(bSets[j])
-		}
-	}
-
-	rowRemaining := make([]int, ra)
-	for i := range rowRemaining {
-		rowRemaining[i] = a.groups[i].count
-	}
-	colRemaining := make([]int, rb)
-	for j := range colRemaining {
-		colRemaining[j] = b.groups[j].count
-	}
-	table := make([][]int, ra)
-	for i := range table {
-		table[i] = make([]int, rb)
-	}
-
-	emitTable := func() bool {
-		// At most one slot may sit on an empty intersection cell (checked
-		// during enumeration), and then only when the union replaces it.
-		emptyI, emptyJ, emptyCount := -1, -1, 0
-		for i := 0; i < ra; i++ {
-			for j := 0; j < rb; j++ {
-				if table[i][j] > 0 && inter[i][j].Empty() {
-					emptyCount += table[i][j]
-					emptyI, emptyJ = i, j
-				}
-			}
-		}
-		if emptyCount > 1 {
-			return true
-		}
-		buildGroups := func(ui, uj int) []setGroup {
-			groups := make([]setGroup, 0, ra*rb+1)
-			for i := 0; i < ra; i++ {
-				for j := 0; j < rb; j++ {
-					c := table[i][j]
-					if c == 0 {
-						continue
-					}
-					if i == ui && j == uj {
-						c--
-					}
-					if c > 0 {
-						groups = append(groups, setGroup{set: inter[i][j], count: c})
-					}
-				}
-			}
-			groups = append(groups, setGroup{set: aSets[ui].Union(bSets[uj]), count: 1})
-			return groups
-		}
-		if emptyCount == 1 {
-			// The union must replace the single empty slot.
-			return emit(newSetConfig(arena, buildGroups(emptyI, emptyJ)))
-		}
-		for i := 0; i < ra; i++ {
-			for j := 0; j < rb; j++ {
-				if table[i][j] == 0 {
-					continue
-				}
-				if !emit(newSetConfig(arena, buildGroups(i, j))) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
-	// Enumerate contingency tables cell by cell in row-major order,
-	// pruning as soon as two or more slots would land on empty
-	// intersection cells (such candidates always contain an empty entry).
-	var rec func(i, j, emptyUsed int) bool
-	rec = func(i, j, emptyUsed int) bool {
-		if i == ra {
-			return emitTable()
-		}
-		ni, nj := i, j+1
-		if nj == rb {
-			ni, nj = i+1, 0
-		}
-		cellEmpty := inter[i][j].Empty()
-		lastInRow := j == rb-1
-		if lastInRow {
-			// The last cell of a row is forced to absorb the remainder.
-			c := rowRemaining[i]
-			if c > colRemaining[j] {
-				return true
-			}
-			eu := emptyUsed
-			if cellEmpty {
-				eu += c
-			}
-			if eu > 1 {
-				return true
-			}
-			table[i][j] = c
-			rowRemaining[i] -= c
-			colRemaining[j] -= c
-			ok := rec(ni, nj, eu)
-			rowRemaining[i] += c
-			colRemaining[j] += c
-			table[i][j] = 0
-			return ok
-		}
-		maxHere := rowRemaining[i]
-		if colRemaining[j] < maxHere {
-			maxHere = colRemaining[j]
-		}
-		if cellEmpty && maxHere > 1-emptyUsed {
-			maxHere = 1 - emptyUsed
-		}
-		for c := 0; c <= maxHere; c++ {
-			eu := emptyUsed
-			if cellEmpty {
-				eu += c
-			}
-			table[i][j] = c
-			rowRemaining[i] -= c
-			colRemaining[j] -= c
-			ok := rec(ni, nj, eu)
-			rowRemaining[i] += c
-			colRemaining[j] += c
-			table[i][j] = 0
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, 0, 0)
-}
-
-// dominatedBy reports whether sc is entrywise dominated by other: there is
-// a matching between slots such that each set of sc is a subset of its
-// partner in other. Used by reference implementations and tests.
-func (sc setConfig) dominatedBy(a *setArena, other setConfig) bool {
-	if sc.arity() != other.arity() {
-		return false
-	}
-	// Bipartite matching between expanded slots with the subset relation.
-	left := sc.expand(a)
-	right := other.expand(a)
-	adj := make([][]int, len(left))
-	for i, x := range left {
-		for j, y := range right {
-			if x.SubsetOf(y) {
-				adj[i] = append(adj[i], j)
-			}
-		}
-	}
-	matchR := make([]int, len(right))
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	var try func(u int, seen []bool) bool
-	try = func(u int, seen []bool) bool {
-		for _, v := range adj[u] {
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			if matchR[v] == -1 || try(matchR[v], seen) {
-				matchR[v] = u
-				return true
-			}
-		}
-		return false
-	}
-	for u := range left {
-		seen := make([]bool, len(right))
-		if !try(u, seen) {
-			return false
-		}
-	}
-	return true
-}
-
-// expand returns the slots of the set-config as a flat slice of sets.
-func (sc setConfig) expand(a *setArena) []bitset.Set {
-	out := make([]bitset.Set, 0, sc.arity())
-	for _, g := range sc.groups {
-		s := a.view(g.set)
-		for i := 0; i < g.count; i++ {
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -15,24 +15,9 @@ import (
 // distinguish "too big to enumerate" from genuine internal errors.
 var ErrStateBudget = errors.New("state budget exceeded")
 
-// Strategy selects the algorithm used to enumerate the maximal node
-// configurations of the derived problem Π'_1.
-type Strategy int
-
-// Enumeration strategies. Both are exact; they differ in what they scale
-// with. Exploration visits every valid set-configuration (fast when that
-// space is moderate); Combine maintains an antichain closed under the
-// combine operation (fast when the antichain is small even though the
-// valid space is huge).
-const (
-	StrategyExplore Strategy = iota + 1
-	StrategyCombine
-)
-
 // speedupOptions carries tunables for the speedup transformation.
 type speedupOptions struct {
 	maxStates int
-	strategy  Strategy
 	workers   int
 }
 
@@ -57,11 +42,6 @@ func WithMaxStates(n int) Option {
 	return func(o *speedupOptions) { o.maxStates = n }
 }
 
-// WithStrategy selects the maximal-configuration enumeration strategy.
-func WithStrategy(s Strategy) Option {
-	return func(o *speedupOptions) { o.strategy = s }
-}
-
 // WithWorkers sets the number of concurrent workers used by the
 // enumeration hot paths (HalfStep's config lifting and SecondHalfStep's
 // maximal-set exploration). n <= 0 selects runtime.GOMAXPROCS(0), the
@@ -73,7 +53,7 @@ func WithWorkers(n int) Option {
 }
 
 func buildOptions(opts []Option) speedupOptions {
-	o := speedupOptions{maxStates: defaultMaxStates, strategy: StrategyExplore}
+	o := speedupOptions{maxStates: defaultMaxStates}
 	for _, fn := range opts {
 		fn(&o)
 	}

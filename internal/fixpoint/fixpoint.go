@@ -80,7 +80,7 @@ type Options struct {
 	// DefaultMaxSteps.
 	MaxSteps int
 	// Core options are forwarded to every core.Speedup call (worker
-	// count, strategy, state budget).
+	// count, state budget).
 	Core []core.Option
 	// Memo, when non-nil, caches speedup steps across runs (and across
 	// processes, when backed by a persistent store). A hit replaces the

@@ -46,7 +46,8 @@ func (v *Violation) Error() string {
 
 // CheckTIndependence exhaustively verifies both defining properties of
 // t-independence over the given (finite, explicitly enumerated) class.
-// It returns nil if the class is t-independent, a *Violation otherwise.
+// It returns nil if the class is t-independent, a *Violation otherwise:
+// the first failing neighborhood in class order, the same on every run.
 //
 //   - Property 1: for every equivalence class of radius-t edge
 //     neighborhoods, every combination of one observed extension per
@@ -76,6 +77,7 @@ func checkProperty1(class []Labeled, t int) error {
 		desc string          // example description for error messages
 	}
 	groups := map[string]*sides{}
+	var order []*sides // groups in first-seen order, so the reported violation is deterministic
 	for gi, lg := range class {
 		builder := sim.NewViewBuilder(lg.G, lg.In)
 		for id := 0; id < lg.G.M(); id++ {
@@ -103,6 +105,7 @@ func checkProperty1(class []Labeled, t int) error {
 					desc: fmt.Sprintf("graph %d edge (%d,%d)", gi, u, v),
 				}
 				groups[groupKey] = s
+				order = append(order, s)
 			}
 			s.a[xA] = true
 			s.b[xB] = true
@@ -116,7 +119,7 @@ func checkProperty1(class []Labeled, t int) error {
 			}
 		}
 	}
-	for _, s := range groups {
+	for _, s := range order {
 		if len(s.both) != len(s.a)*len(s.b) {
 			return &Violation{
 				Property: 1,
@@ -138,6 +141,7 @@ func checkProperty2(class []Labeled, t int) error {
 		desc    string
 	}
 	groups := map[string]*tuples{}
+	var order []*tuples // groups in first-seen order, so the reported violation is deterministic
 	for gi, lg := range class {
 		builder := sim.NewViewBuilder(lg.G, lg.In)
 		for v := 0; v < lg.G.N(); v++ {
@@ -160,6 +164,7 @@ func checkProperty2(class []Labeled, t int) error {
 					s.perPort[i] = map[string]bool{}
 				}
 				groups[groupKey] = s
+				order = append(order, s)
 			}
 			for port := 0; port < d; port++ {
 				s.perPort[port][exts[port]] = true
@@ -167,7 +172,7 @@ func checkProperty2(class []Labeled, t int) error {
 			s.joint[strings.Join(exts, "||")] = true
 		}
 	}
-	for _, s := range groups {
+	for _, s := range order {
 		product := 1
 		for _, m := range s.perPort {
 			product *= len(m)

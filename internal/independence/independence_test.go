@@ -62,6 +62,23 @@ func TestUniqueIDsAreNotIndependent(t *testing.T) {
 	t.Logf("expected violation: %v", v)
 }
 
+// TestViolationIsDeterministic: the reported violation is the first
+// failing group in class order, not whichever a map iteration reaches
+// first, so repeated checks of the same class name the same edge.
+func TestViolationIsDeterministic(t *testing.T) {
+	class := UniqueIDClass(ring(t, 6), 6)
+	const want = "graph 0 edge (0,1): 2×2 endpoint extensions but only 2 joint realizations"
+	for run := 0; run < 5; run++ {
+		var v *Violation
+		if err := CheckTIndependence(class, 2); !errors.As(err, &v) {
+			t.Fatalf("run %d: want a *Violation, got %v", run, err)
+		}
+		if v.Property != 1 || v.Detail != want {
+			t.Fatalf("run %d: property %d %q, want property 1 %q", run, v.Property, v.Detail, want)
+		}
+	}
+}
+
 // TestMixedInputsIndependent: orientations plus edge colorings together
 // remain independent (combinations of independent-style inputs).
 func TestMixedInputsIndependent(t *testing.T) {

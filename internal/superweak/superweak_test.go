@@ -1,6 +1,8 @@
 package superweak
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -114,11 +116,25 @@ func deriveFull(t *testing.T) (half, full *core.Problem) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err = core.SecondHalfStep(half, core.WithStrategy(core.StrategyCombine))
+	full, err = core.SecondHalfStep(half)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return half, full
+}
+
+// TestDeriveFullPinned pins the bytes and sizes of the Π'_1 that the
+// Lemma tests, the paper-table examples and the Section 5 example derive,
+// so a change to the maximal-set enumeration cannot silently alter it.
+func TestDeriveFullPinned(t *testing.T) {
+	_, full := deriveFull(t)
+	const want = "4b2b2cad33b474482c6a278bdce95172a03454d9d55fb100e51dfe97c3a2ca9d"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(full.String()))); got != want {
+		t.Errorf("sha256 of Π'_1 = %s, want %s", got, want)
+	}
+	if a, n, e := full.Alpha.Size(), full.Node.Size(), full.Edge.Size(); a != 19 || n != 22 || e != 118 {
+		t.Errorf("Π'_1 has %d labels, %d node and %d edge configurations; want 19, 22, 118", a, n, e)
+	}
 }
 
 // TestLemma1Structure checks the dominant-element structure on the
