@@ -1106,3 +1106,87 @@ func BenchmarkE19SecondHalfStepGen(b *testing.B) {
 	b.ReportMetric(float64(len(halves)), "inputs")
 	b.ReportMetric(float64(exceeded)/float64(len(halves)), "budget-exceeded-share")
 }
+
+// failureCounter counts the hits of the failure memo it wraps; E20
+// runs single-threaded, so a plain int suffices.
+type failureCounter struct {
+	fixpoint.FailureMemo
+	hits int
+}
+
+// LookupFailure delegates and counts hits.
+func (c *failureCounter) LookupFailure(in *core.Problem) (error, bool) {
+	err, ok := c.FailureMemo.LookupFailure(in)
+	if ok {
+		c.hits++
+	}
+	return err, ok
+}
+
+// BenchmarkE20FailureMemoGen: E20 — the failure memo on servebench's
+// cold-gen inputs: the first 2,000 distinct points of
+// family=rand,seed=1,delta=3,labels=3 (400 under -short), each through
+// fixpoint.Run at 4 steps, 2,000 states and one worker, with one
+// MapMemo shared by the op's runs. failures=iso adds one shared
+// IsoFailureMemo; failures=none runs without one. Both report
+// budget-exceeded (runs that end on a state-budget failure) and
+// failure-hits (those the memo answered instead of core.Speedup).
+func BenchmarkE20FailureMemoGen(b *testing.B) {
+	n := 2000
+	if testing.Short() {
+		n = 400
+	}
+	spec, err := gen.ParseSpec(fmt.Sprintf("family=rand,seed=1,count=%d,delta=3,labels=3", gen.MaxSpecCount))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var points []*core.Problem
+	seen := map[string]bool{}
+	for i := 0; len(points) < n; i++ {
+		p, err := spec.Point(i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if text := string(p.CanonicalBytes()); !seen[text] {
+			seen[text] = true
+			points = append(points, p)
+		}
+	}
+	for _, iso := range []bool{false, true} {
+		name := "failures=none"
+		if iso {
+			name = "failures=iso"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			exceeded, hits := 0, 0
+			for i := 0; i < b.N; i++ {
+				opts := fixpoint.Options{
+					MaxSteps: 4,
+					Core:     []core.Option{core.WithMaxStates(2000), core.WithWorkers(1)},
+					Memo:     fixpoint.NewMapMemo(),
+				}
+				var failures *failureCounter
+				if iso {
+					failures = &failureCounter{FailureMemo: fixpoint.NewIsoFailureMemo()}
+					opts.Failures = failures
+				}
+				exceeded = 0
+				for _, p := range points {
+					res, err := fixpoint.Run(p, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Err != nil {
+						exceeded++
+					}
+				}
+				if failures != nil {
+					hits = failures.hits
+				}
+			}
+			b.ReportMetric(float64(exceeded), "budget-exceeded")
+			b.ReportMetric(float64(hits), "failure-hits")
+		})
+	}
+}

@@ -20,7 +20,10 @@
 // stored results replay the exact trajectories a cold run computes.
 // The store also memoizes individual speedup steps, which warms even
 // tasks whose own checkpoint is missing; without -store an in-memory
-// step memo is shared across the tasks of this one run. Alongside each
+// step memo is shared across the tasks of this one run. Steps that
+// exhaust the state budget are remembered in process, up to label
+// renaming, so a task whose step is isomorphic to an earlier failed
+// one ends without recomputing it. Alongside each
 // trajectory the sweep commits the pre-rendered NDJSON response body
 // for the same query (backfilling it on checkpoint hits from older
 // stores), so a daemon serving the store — or a pack built from it —
@@ -82,6 +85,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -390,10 +394,25 @@ func makeRow(t problems.GridPoint, res *fixpoint.Result) row {
 	return r
 }
 
+// syncWriter serializes the task workers' progress lines onto one
+// writer, which need not be safe for concurrent use.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+// Write forwards p under the lock.
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
 // run executes the sweep: build the grid, classify every task (store
 // checkpoints permitting), and write the report to out. Progress goes
 // to errw when verbose.
 func run(cfg config, out, errw io.Writer) error {
+	errw = &syncWriter{w: errw}
 	tasks, err := buildTasks(cfg)
 	if err != nil {
 		return err
@@ -418,6 +437,8 @@ func run(cfg config, out, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// A sweep has one budget, so one failure memo serves every task.
+	failures := fixpoint.NewIsoFailureMemo()
 	params := store.TrajectoryParams{MaxSteps: cfg.maxSteps, MaxStates: cfg.maxStates}
 	coreOpts := []core.Option{core.WithWorkers(cfg.coreWorkers)}
 	if cfg.maxStates > 0 {
@@ -452,6 +473,7 @@ func run(cfg config, out, errw io.Writer) error {
 			MaxSteps: cfg.maxSteps,
 			Core:     coreOpts,
 			Memo:     memo,
+			Failures: failures,
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", t.Name, err)

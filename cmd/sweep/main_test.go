@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/fixpoint"
 	"repro/internal/store"
 )
 
@@ -571,4 +573,63 @@ func TestGenShardPartition(t *testing.T) {
 			t.Fatalf("row %d differs: %+v vs %+v", i, union[i], fullRows[i])
 		}
 	}
+}
+
+// failureGenArgs is a generated space whose tasks exhaust the state
+// budget on isomorphic step inputs more than once, so a sweep of it
+// reaches the failure memo.
+func failureGenArgs(extra ...string) []string {
+	base := []string{"-gen", "family=rand,seed=1,count=128,delta=3,labels=3",
+		"-max-states", "200", "-max-steps", "4"}
+	return append(base, extra...)
+}
+
+// TestGenSweepFailureMemo: a sweep whose tasks repeat a budget failure
+// up to label renaming reports, at every worker count, exactly the
+// rows that each task run alone and without any memo produces.
+func TestGenSweepFailureMemo(t *testing.T) {
+	cfg, err := parseFlags(failureGenArgs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := buildTasks(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]row, len(tasks))
+	var failedInputs []*core.Problem
+	repeats := 0
+	for i, task := range tasks {
+		res, err := fixpoint.Run(task.Problem, fixpoint.Options{
+			MaxSteps: cfg.maxSteps,
+			Core:     []core.Option{core.WithMaxStates(cfg.maxStates), core.WithWorkers(1)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = makeRow(task, res)
+		if res.Err == nil {
+			continue
+		}
+		for _, prev := range failedInputs {
+			if _, ok := core.Isomorphic(res.Last(), prev); ok {
+				repeats++
+				break
+			}
+		}
+		failedInputs = append(failedInputs, res.Last())
+	}
+	if repeats == 0 {
+		t.Fatal("no task repeats an earlier budget failure up to renaming")
+	}
+	var want bytes.Buffer
+	if err := writeReport(&want, "tsv", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []string{"1", "2", "4"} {
+		if got := runSweep(t, failureGenArgs("-workers", w)); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("workers=%s: report differs from memo-free runs:\n%s\nvs\n%s", w, got, want.Bytes())
+		}
+	}
+	t.Logf("%d of %d budget failures repeat an earlier one up to renaming", repeats, len(failedInputs))
 }

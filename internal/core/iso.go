@@ -27,8 +27,8 @@ func Isomorphic(p, q *Problem) (LabelMap, bool) {
 	// Signatures of both problems are interned in one shared arena, so
 	// equal handles mean equal signatures.
 	f := NewFingerprinter()
-	sigP := f.labelSignatures(p)
-	sigQ := f.labelSignatures(q)
+	sigP, _ := f.labelSignatures(p, internSeq)
+	sigQ, _ := f.labelSignatures(q, internSeq)
 
 	// Candidate targets per source label: equal signatures only.
 	cand := make([][]Label, n)
@@ -166,7 +166,35 @@ func (f *Fingerprinter) Reset() {
 // Fingerprint returns the interned fingerprint of p: description sizes
 // plus the sorted multiset of per-label signature handles.
 func (f *Fingerprinter) Fingerprint(p *Problem) Fingerprint {
-	sigs := f.labelSignatures(p)
+	h, _ := f.fingerprint(p, internSeq)
+	return h
+}
+
+// Lookup returns the fingerprint of p if f has already issued it —
+// for p or for any problem with the same fingerprint, such as a
+// renamed copy of p — without interning anything: a miss leaves every
+// arena unchanged. Memos that probe with Lookup and intern only on
+// store therefore grow their arenas with their entries alone.
+func (f *Fingerprinter) Lookup(p *Problem) (Fingerprint, bool) {
+	return f.fingerprint(p, (*intern.Table).Lookup)
+}
+
+// tableOp resolves a word sequence to its handle in one arena:
+// internSeq inserts on a miss, (*intern.Table).Lookup does not.
+type tableOp func(t *intern.Table, seq []uint64) (intern.Handle, bool)
+
+// internSeq is the inserting tableOp.
+func internSeq(t *intern.Table, seq []uint64) (intern.Handle, bool) {
+	return t.Intern(seq), true
+}
+
+// fingerprint computes p's fingerprint, resolving every sequence
+// through op; it reports false as soon as op finds one missing.
+func (f *Fingerprinter) fingerprint(p *Problem, op tableOp) (Fingerprint, bool) {
+	sigs, ok := f.labelSignatures(p, op)
+	if !ok {
+		return 0, false
+	}
 	words := make([]uint64, 0, len(sigs)+4)
 	words = append(words,
 		uint64(p.Alpha.Size()), uint64(p.Delta()),
@@ -176,34 +204,46 @@ func (f *Fingerprinter) Fingerprint(p *Problem) Fingerprint {
 		codes[i] = uint64(h)
 	}
 	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-	return f.fps.Intern(append(words, codes...))
+	return op(f.fps, append(words, codes...))
 }
 
 // labelSignatures computes a renaming-invariant fingerprint per label —
 // the sorted list of (constraint tag, multiplicity profile,
-// own-multiplicity) participations — interned to one handle per label.
-func (f *Fingerprinter) labelSignatures(p *Problem) []intern.Handle {
+// own-multiplicity) participations — resolved through op to one handle
+// per label. It reports false as soon as op finds a profile or a
+// signature missing (every configuration has a non-empty support, so
+// each profile enters some signature).
+func (f *Fingerprinter) labelSignatures(p *Problem, op tableOp) ([]intern.Handle, bool) {
 	n := p.Alpha.Size()
 	codes := make([][]uint64, n)
 	var profBuf []uint64
-	collect := func(c Constraint, tag uint64) {
+	collect := func(c Constraint, tag uint64) bool {
 		for _, cfg := range c.Configs() {
 			// Profile: sorted multiplicities of the configuration.
 			profBuf = profBuf[:0]
 			cfg.ForEach(func(_ Label, count int) { profBuf = append(profBuf, uint64(count)) })
 			sort.Slice(profBuf, func(i, j int) bool { return profBuf[i] < profBuf[j] })
-			prof := f.profiles.Intern(profBuf)
+			prof, ok := op(f.profiles, profBuf)
+			if !ok {
+				return false
+			}
 			cfg.ForEach(func(l Label, count int) {
 				codes[l] = append(codes[l], uint64(prof)<<32|uint64(count)<<1|tag)
 			})
 		}
+		return true
 	}
-	collect(p.Edge, 0)
-	collect(p.Node, 1)
+	if !collect(p.Edge, 0) || !collect(p.Node, 1) {
+		return nil, false
+	}
 	out := make([]intern.Handle, n)
 	for i := range codes {
 		sort.Slice(codes[i], func(a, b int) bool { return codes[i][a] < codes[i][b] })
-		out[i] = f.sigs.Intern(codes[i])
+		h, ok := op(f.sigs, codes[i])
+		if !ok {
+			return nil, false
+		}
+		out[i] = h
 	}
-	return out
+	return out, true
 }

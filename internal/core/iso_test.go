@@ -76,3 +76,48 @@ func TestEqualVsIsomorphic(t *testing.T) {
 		t.Error("label-reordered problem not isomorphic")
 	}
 }
+
+// TestFingerprinterLookup: Lookup never interns — probing an unseen
+// problem, even one sharing some profiles and signatures with a
+// fingerprinted one, leaves every arena's length unchanged — and on a
+// renamed copy of a fingerprinted problem it returns the handle
+// Fingerprint issued.
+func TestFingerprinterLookup(t *testing.T) {
+	f := NewFingerprinter()
+	lens := func() [3]int { return [3]int{f.profiles.Len(), f.sigs.Len(), f.fps.Len()} }
+	p := MustParse("node:\nA A B\nA B B\nedge:\nA B\nB B")
+	if _, ok := f.Lookup(p); ok {
+		t.Fatal("Lookup hit on an empty fingerprinter")
+	}
+	if got := lens(); got != [3]int{} {
+		t.Fatalf("Lookup on an empty fingerprinter interned %v", got)
+	}
+
+	want := f.Fingerprint(p)
+	before := lens()
+	for _, unseen := range []string{
+		// a label signature p lacks, over p's profiles
+		"node:\nA A B\nedge:\nA B\nB B",
+		// a profile p lacks
+		"node:\nA A A\nA B B\nedge:\nA B\nB B",
+		// two disjoint copies of p: every signature known, the
+		// fingerprint new
+		"node:\nA A B\nA B B\nC C D\nC D D\nedge:\nA B\nB B\nC D\nD D",
+	} {
+		if _, ok := f.Lookup(MustParse(unseen)); ok {
+			t.Fatalf("Lookup hit on unseen problem %q", unseen)
+		}
+		if got := lens(); got != before {
+			t.Fatalf("Lookup of %q grew the arenas from %v to %v", unseen, before, got)
+		}
+	}
+
+	renamed := MustParse("node:\nY Y X\nY X X\nedge:\nY X\nX X")
+	got, ok := f.Lookup(renamed)
+	if !ok || got != want {
+		t.Fatalf("Lookup(renamed copy) = %v, %v; want %v, true", got, ok, want)
+	}
+	if lens() != before {
+		t.Fatal("a Lookup hit grew the arenas")
+	}
+}

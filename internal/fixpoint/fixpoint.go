@@ -9,7 +9,9 @@
 // The driver applies core.Speedup repeatedly, memoizes every derived
 // problem's isomorphism class (hash-bucketed by interned
 // core.Fingerprint handles, confirmed by core.Isomorphic), and
-// classifies the trajectory:
+// classifies the trajectory. Across runs, a Memo replays exact steps
+// and a FailureMemo replays state-budget failures up to label
+// renaming. The classifications:
 //
 //   - FixedPoint: Π_{i} is isomorphic to Π_{i-1} — one more round of
 //     speedup changes nothing, the paper's fixed-point situation.
@@ -94,6 +96,13 @@ type Options struct {
 	// budget into the record key; a MapMemo must simply not be reused
 	// across budgets).
 	Memo Memo
+	// Failures, when non-nil, remembers steps that exhausted the state
+	// budget. Run consults it after a Memo miss, before calling
+	// core.Speedup, and offers it every ErrStateBudget failure. A hit
+	// ends the run exactly as the failing core.Speedup call would have:
+	// BudgetExceeded, with the stored error as Result.Err. Like Memo, a
+	// failure memo must be scoped to the WithMaxStates budget in Core.
+	Failures FailureMemo
 	// Observe, when non-nil, is invoked synchronously for every
 	// trajectory entry the moment it is appended — index 0 is the
 	// compressed input, index i the i-th derived problem — before the
@@ -166,6 +175,94 @@ func (m *MapMemo) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.m)
+}
+
+// FailureMemo is a pluggable cache of speedup steps that exhausted the
+// state budget. Whether a step outgrows budget b is a property of its
+// input's isomorphism class: Π'_1/2 and Π'_1 are built from sets of
+// Π's labels, and both budget checks count something renaming does not
+// change. Neither budget error names a label, so under one budget the
+// error text is identical across a class. A failure memo may therefore
+// answer for any input isomorphic to a stored one, and for no other.
+// It must return the stored error value unchanged (so
+// errors.Is(err, core.ErrStateBudget) holds) and be safe for
+// concurrent use.
+type FailureMemo interface {
+	// LookupFailure returns the error of a stored failure whose input
+	// is isomorphic to in.
+	LookupFailure(in *core.Problem) (error, bool)
+	// StoreFailure records that one speedup step on in failed with err.
+	StoreFailure(in *core.Problem, err error)
+}
+
+// FailureMemoCap bounds an IsoFailureMemo's entries. On overflow the
+// memo is cleared wholesale, like the service's rendered-body memo:
+// every entry can be recomputed.
+const FailureMemoCap = 4096
+
+// IsoFailureMemo is the in-process FailureMemo: failing inputs bucketed
+// by core.Fingerprint and confirmed with core.Isomorphic, the way Run
+// detects cycles. Its Fingerprinter interns only on store, so
+// FailureMemoCap bounds the entries and the fingerprint arenas
+// together. Scope one IsoFailureMemo to one WithMaxStates budget.
+type IsoFailureMemo struct {
+	mu      sync.RWMutex
+	fp      *core.Fingerprinter
+	buckets map[core.Fingerprint][]failure
+	n       int
+}
+
+// failure is one stored budget failure.
+type failure struct {
+	in  *core.Problem
+	err error
+}
+
+// NewIsoFailureMemo returns an empty failure memo.
+func NewIsoFailureMemo() *IsoFailureMemo {
+	return &IsoFailureMemo{fp: core.NewFingerprinter(), buckets: make(map[core.Fingerprint][]failure)}
+}
+
+// LookupFailure returns the error of a stored failure isomorphic to in.
+// The isomorphism search runs outside the lock on a snapshot of the
+// bucket (buckets are append-only, so the snapshot stays valid), so
+// one slow comparison never blocks other lookups or stores.
+func (m *IsoFailureMemo) LookupFailure(in *core.Problem) (error, bool) {
+	m.mu.RLock()
+	key, ok := m.fp.Lookup(in)
+	var bucket []failure
+	if ok {
+		bucket = m.buckets[key]
+	}
+	m.mu.RUnlock()
+	for _, f := range bucket {
+		if _, ok := core.Isomorphic(in, f.in); ok {
+			return f.err, true
+		}
+	}
+	return nil, false
+}
+
+// StoreFailure records that one speedup step on in failed with err,
+// first clearing the memo if it holds FailureMemoCap entries.
+func (m *IsoFailureMemo) StoreFailure(in *core.Problem, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.n >= FailureMemoCap {
+		clear(m.buckets)
+		m.fp.Reset()
+		m.n = 0
+	}
+	key := m.fp.Fingerprint(in)
+	m.buckets[key] = append(m.buckets[key], failure{in: in, err: err})
+	m.n++
+}
+
+// Len reports the number of stored failures.
+func (m *IsoFailureMemo) Len() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.n
 }
 
 // fingerprinterPool recycles the per-run isomorphism-fingerprint arenas
@@ -264,9 +361,19 @@ func Run(p *core.Problem, opts Options) (*Result, error) {
 			next, hit = opts.Memo.LookupStep(cur)
 		}
 		if !hit {
+			if opts.Failures != nil {
+				if err, failed := opts.Failures.LookupFailure(cur); failed {
+					res.Kind = BudgetExceeded
+					res.Err = err
+					return res, nil
+				}
+			}
 			derived, err := core.Speedup(cur, opts.Core...)
 			if err != nil {
 				if errors.Is(err, core.ErrStateBudget) {
+					if opts.Failures != nil {
+						opts.Failures.StoreFailure(cur, err)
+					}
 					res.Kind = BudgetExceeded
 					res.Err = err
 					return res, nil

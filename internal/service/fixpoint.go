@@ -263,6 +263,7 @@ func (e *Engine) computeFixpoint(c *call, p *core.Problem, params store.Trajecto
 		MaxSteps: params.MaxSteps,
 		Core:     e.coreOpts(params.MaxStates),
 		Memo:     e.stepMemo(params.MaxStates),
+		Failures: e.failureMemo(params.MaxStates),
 		Ctx:      c.ctx,
 		Observe: func(index int, q *core.Problem) {
 			line := marshalLine(FixpointEntry{Index: index, Problem: viewOf(q)})

@@ -77,11 +77,13 @@ var peerOutcomes = []string{"hit", "miss", "corrupt", "unreachable", "skipped"}
 
 // warmTiers are the warm-lookup record tiers instrumented by the
 // engine: the preloaded pack artifact, full-step memo entries, whole
-// trajectories, pre-rendered response bodies, rendered verdicts, and
-// in-process half steps. The "rendered" tier folds its whole chain —
+// trajectories, pre-rendered response bodies, rendered verdicts,
+// in-process half steps, and the in-process per-budget memo of
+// state-budget failures (consulted after a step-memo miss, matched up
+// to label renaming). The "rendered" tier folds its whole chain —
 // in-process memo, pack record, store record — into at most one
 // outcome per request.
-var warmTiers = []string{"pack", "step", "trajectory", "rendered", "verdict", "half"}
+var warmTiers = []string{"pack", "step", "trajectory", "rendered", "verdict", "half", "failure"}
 
 // warmOutcomes are the per-tier lookup outcomes: "hit" served a record,
 // "miss" fell through cleanly, "corrupt" fell through because the
@@ -415,7 +417,9 @@ type SingleflightStat struct {
 // StoreStat is one warm tier's lookup-outcome count.
 type StoreStat struct {
 	// Tier is the record tier ("pack", "step", "trajectory",
-	// "rendered", "verdict", "half").
+	// "rendered", "verdict", "half", "failure"). A "failure" hit is a
+	// step answered with a remembered state-budget failure instead of
+	// being computed.
 	Tier string `json:"tier"`
 	// Hits counts warm lookups that were served.
 	Hits int64 `json:"hits"`

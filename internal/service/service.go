@@ -117,6 +117,11 @@ type Engine struct {
 	verdictCache map[store.VerdictParams][]byte // memory mode: rendered verdict warm cache
 	flight       map[string]*call
 
+	// failMemos maps a budget to its memo of state-budget failures.
+	// Unlike stepMemos it exists in every store mode: failures have no
+	// record kind.
+	failMemos map[int]*fixpoint.IsoFailureMemo
+
 	// rendered memoizes complete fixpoint response bodies by exact raw
 	// request text — the hottest warm tier, consulted before parsing.
 	// Guarded by its own lock so rendered hits never contend with the
@@ -138,6 +143,7 @@ func New(cfg Config) (*Engine, error) {
 		gate:         par.NewGate(cfg.MaxInflight),
 		metrics:      cfg.Metrics,
 		stepMemos:    make(map[int]fixpoint.Memo),
+		failMemos:    make(map[int]*fixpoint.IsoFailureMemo),
 		halves:       make(map[string]*core.Problem),
 		trajCache:    make(map[string]*fixpoint.Result),
 		verdictCache: make(map[store.VerdictParams][]byte),
@@ -233,6 +239,23 @@ func (e *Engine) stepMemo(maxStates int) fixpoint.Memo {
 	return m
 }
 
+// failureMemo returns the budget-scoped memo of state-budget failures,
+// kept in process in every store mode, with hit/miss accounting when
+// metrics are attached.
+func (e *Engine) failureMemo(maxStates int) fixpoint.FailureMemo {
+	e.mu.Lock()
+	fm, ok := e.failMemos[maxStates]
+	if !ok {
+		fm = fixpoint.NewIsoFailureMemo()
+		e.failMemos[maxStates] = fm
+	}
+	e.mu.Unlock()
+	if e.metrics == nil {
+		return fm
+	}
+	return observedFailureMemo{inner: fm, metrics: e.metrics}
+}
+
 // storeStepMemo adapts the store's budget-scoped step records to
 // fixpoint.Memo with corrupt-aware outcome accounting: a record that
 // fails validation (checksum, truncation, version) degrades to a miss
@@ -301,6 +324,23 @@ func (o observedMemo) LookupStep(in *core.Problem) (*core.Problem, bool) {
 
 // StoreStep delegates.
 func (o observedMemo) StoreStep(in, out *core.Problem) { o.inner.StoreStep(in, out) }
+
+// observedFailureMemo wraps a failure memo with warm-tier hit/miss
+// accounting under the "failure" tier.
+type observedFailureMemo struct {
+	inner   fixpoint.FailureMemo
+	metrics *Metrics
+}
+
+// LookupFailure counts the lookup outcome and delegates.
+func (o observedFailureMemo) LookupFailure(in *core.Problem) (error, bool) {
+	err, ok := o.inner.LookupFailure(in)
+	o.metrics.warmLookup("failure", warmOutcome(ok, nil))
+	return err, ok
+}
+
+// StoreFailure delegates.
+func (o observedFailureMemo) StoreFailure(in *core.Problem, err error) { o.inner.StoreFailure(in, err) }
 
 // enter acquires an engine-computation slot, failing with ErrClosed
 // once the engine is shutting down.

@@ -85,11 +85,14 @@ func (e *Engine) computeSpeedup(p *core.Problem, half bool, steps, maxStates int
 		resp.Derived = []ProblemView{viewOf(out)}
 		return resp, nil
 	}
-	memo := e.stepMemo(maxStates)
+	memo, failures := e.stepMemo(maxStates), e.failureMemo(maxStates)
 	cur := p
 	for i := 0; i < steps; i++ {
 		next, hit := memo.LookupStep(cur)
 		if !hit {
+			if err, failed := failures.LookupFailure(cur); failed {
+				return nil, infeasible(err)
+			}
 			if err := e.enter(); err != nil {
 				return nil, err
 			}
@@ -97,6 +100,7 @@ func (e *Engine) computeSpeedup(p *core.Problem, half bool, steps, maxStates int
 			e.gate.Leave()
 			if err != nil {
 				if errors.Is(err, core.ErrStateBudget) {
+					failures.StoreFailure(cur, err)
 					return nil, infeasible(err)
 				}
 				return nil, err
