@@ -1051,9 +1051,11 @@ func BenchmarkE18GeneratedSweep(b *testing.B) {
 // (4 steps, 2000 states), lifted once by HalfStep and deduplicated.
 // The corpus keeps the inputs whose search exhausts the state budget,
 // which the cold path pays for too. One op is one SecondHalfStep per
-// corpus entry at one worker; allocs/op is CI-gated by tools/allocgate
-// against bench/alloc_thresholds.txt, so per-candidate allocation in
-// the search cannot come back unnoticed.
+// corpus entry at one worker: it builds 35,008 search states, each
+// valid state once and the failing inputs' states up to their budget.
+// allocs/op is CI-gated by tools/allocgate against
+// bench/alloc_thresholds.txt, so per-state allocation in the search
+// cannot come back unnoticed.
 func BenchmarkE19SecondHalfStepGen(b *testing.B) {
 	spec, err := gen.ParseSpec("family=rand,seed=1,count=256,delta=3,labels=3")
 	if err != nil {

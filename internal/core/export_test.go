@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bitset"
@@ -62,6 +63,59 @@ func BruteMaximalNodeSetConfigKeys(half *Problem) []string {
 func BruteValidNodeSetConfigCount(half *Problem) int {
 	valid, _ := bruteValidNodeSetConfigs(half)
 	return len(valid)
+}
+
+// GrownValidNodeSetConfigCount counts the valid set-configurations of
+// half by definition rather than by reverse search: the closure of the
+// singleton roots under valid single-label growth, breadth-first and
+// deduplicated by canonical key (the set handles and multiplicities of
+// the canonical groups, which identify a configuration within one
+// arena). It stops with ok false once the count exceeds limit.
+func GrownValidNodeSetConfigCount(half *Problem, limit int) (count int, ok bool) {
+	arena := newSetArena(half.Alpha.Size())
+	seen := map[string]bool{}
+	var queue []setConfig
+	admit := func(groups []setGroup) {
+		sc := newSetConfig(arena, groups)
+		var key []byte
+		for _, g := range sc.groups {
+			key = append(binary.LittleEndian.AppendUint32(key, uint32(g.set)), byte(g.count))
+		}
+		if !seen[string(key)] && sc.allChoicesIn(arena, half.Node, nil) {
+			seen[string(key)] = true
+			queue = append(queue, sc)
+		}
+	}
+	for _, cfg := range half.Node.Configs() {
+		var groups []setGroup
+		cfg.ForEach(func(l Label, c int) {
+			groups = append(groups, setGroup{set: bsFrom(arena.n, []int{int(l)}), count: c})
+		})
+		admit(groups)
+	}
+	for len(queue) > 0 && len(seen) <= limit {
+		sc := queue[0]
+		queue = queue[1:]
+		for gi, g := range sc.groups {
+			for l := 0; l < arena.n; l++ {
+				if arena.view(g.set).Contains(l) {
+					continue
+				}
+				grown := arena.view(g.set).Clone()
+				grown.Add(l)
+				groups := []setGroup{{set: grown, count: 1}}
+				for j, h := range sc.groups {
+					c := h.count
+					if j == gi {
+						c--
+					}
+					groups = append(groups, setGroup{set: arena.view(h.set), count: c})
+				}
+				admit(groups)
+			}
+		}
+	}
+	return len(seen), len(seen) <= limit
 }
 
 // bruteValidNodeSetConfigs enumerates the valid multisets of non-empty

@@ -5,12 +5,12 @@ package core
 // arenas for closed-set dedup, label-multiplicity count maps — and at
 // service request rates those allocations, not the set algebra,
 // dominate the profile. The pools below recycle them across calls; the
-// maximal-set exploration instead keeps per-worker scratch for the
-// length of one call (see explorer). Nothing pooled ever escapes into a
-// result: results are built from fresh or arena-owned storage, and each
-// helper's Put runs only after the last read of the scratch, so pooling
-// is invisible to the byte-identity contract (locked by the golden
-// corpus tests).
+// maximal-set search instead keeps per-worker stacks for the length of
+// one call and interns nothing until it returns (see explorer).
+// Nothing pooled ever escapes into a result: results are built from
+// fresh or arena-owned storage, and each helper's Put runs only after
+// the last read of the scratch, so pooling is invisible to the
+// byte-identity contract (locked by the golden corpus tests).
 
 import (
 	"sync"

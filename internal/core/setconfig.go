@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -11,27 +10,21 @@ import (
 	"repro/internal/intern"
 )
 
-// setArena is the hash-consed store backing one enumeration of maximal
-// set-configurations: label sets and whole configurations intern to
-// dense handles, so dedup maps and visited sets are handle-indexed and
-// never materialize strings.
+// setArena interns the label sets of the set-configurations an
+// enumeration returns, so their groups carry dense handles and
+// SecondHalfStep collects the derived alphabet with a handle-indexed
+// scan instead of string keys.
 //
-// Handle values depend on interleaving when workers intern
-// concurrently; every ordering decision therefore goes through set
-// content (bitset.Compare), which keeps outputs byte-identical across
-// runs and worker counts.
+// Handle values depend on interning order; every ordering decision
+// therefore goes through set content (bitset.Compare), which keeps
+// outputs byte-identical across runs and worker counts.
 type setArena struct {
 	n    int           // universe (alphabet size of the half problem)
 	sets *intern.Table // label-set words
-	ids  *intern.Table // packed group sequences: setConfig identities
 }
 
 func newSetArena(n int) *setArena {
-	return &setArena{
-		n:    n,
-		sets: intern.NewTable(0),
-		ids:  intern.NewTable(0),
-	}
+	return &setArena{n: n, sets: intern.NewTable(0)}
 }
 
 // intern hash-conses a label set.
@@ -59,8 +52,8 @@ type scGroup struct {
 }
 
 // setGroup is the raw construction-time form of a group (a materialized
-// set plus multiplicity), used by the builders, the naive reference
-// implementations and the tests.
+// set plus multiplicity), used by the naive reference implementations
+// and the tests.
 type setGroup struct {
 	set   bitset.Set
 	count int
@@ -95,45 +88,6 @@ func canonicalize(a *setArena, groups []scGroup) setConfig {
 		out = append(out, g)
 	}
 	return setConfig{groups: out}
-}
-
-// singletonSetConfig converts an ordinary configuration into a set-config
-// of singleton sets over an alphabet of the given size.
-func singletonSetConfig(a *setArena, cfg Config) setConfig {
-	groups := make([]setGroup, 0, 4)
-	cfg.ForEach(func(l Label, count int) {
-		s := bitset.New(a.n)
-		s.Add(int(l))
-		groups = append(groups, setGroup{set: s, count: count})
-	})
-	return newSetConfig(a, groups)
-}
-
-// appendGroupWords appends the packed encoding of the groups — one word
-// per group, set handle in the high half, multiplicity in the low half —
-// to dst. Groups are in canonical order, so the encoding identifies the
-// configuration within one arena.
-func appendGroupWords(groups []scGroup, dst []uint64) []uint64 {
-	for _, g := range groups {
-		dst = append(dst, uint64(g.set)<<32|uint64(uint32(g.count)))
-	}
-	return dst
-}
-
-// id hash-conses the configuration's identity.
-func (sc setConfig) id(a *setArena) intern.Handle {
-	var buf [16]uint64
-	return a.ids.Intern(appendGroupWords(sc.groups, buf[:0]))
-}
-
-// config materializes the set-configuration of an identity handle.
-func (a *setArena) config(id intern.Handle) setConfig {
-	words := a.ids.Seq(id)
-	groups := make([]scGroup, len(words))
-	for i, w := range words {
-		groups[i] = scGroup{set: intern.Handle(w >> 32), count: int(uint32(w))}
-	}
-	return setConfig{groups: groups}
 }
 
 // compare orders set-configs by content: group-wise set content, then
@@ -215,123 +169,83 @@ func (sc setConfig) allChoicesIn(a *setArena, h Constraint, extra []Label) bool 
 // (Property 6 of Section 4.2) — in content order. The returned arena
 // resolves the handles of the returned configurations.
 //
-// The enumeration explores upward: starting from the configurations of
-// half.Node (as singleton set-configs), repeatedly add a single label to
-// a single slot, keeping only additions that preserve validity ("every
-// choice lies in half.Node"). Every intermediate state on the way to a
-// maximal configuration T is entrywise between one of T's choice lines
-// and T itself, hence valid, so the exploration is complete; a
-// configuration with no valid single-label extension is maximal because
-// supersets of invalid configurations are invalid. The work therefore
-// grows with the number of valid set-configurations, not with the number
-// of maximal ones, and the state budget below bounds it.
+// The search walks the valid set-configurations (every choice in
+// half.Node, no entry empty) upward from the roots, the configurations
+// of half.Node as singleton set-configs. A configuration with no valid
+// single-label extension is maximal, because supersets of invalid
+// configurations are invalid, and every valid configuration is reached:
+// removing a label from an entry of two or more labels keeps it valid.
+// That removal also gives every non-root state C exactly one parent —
+// C with the greatest label taken from one copy of its content-greatest
+// entry of two or more labels — so the search is a reverse search: a
+// state builds only the extensions whose parent it is. Adding l to one
+// copy of a group with set s is one iff l exceeds every label of s and
+// s ∪ {l} is content-greater than or equal to every other group of two
+// or more labels (the remaining copies of s included). Both checks run
+// before the child is built, so each valid state is built exactly once
+// and nothing needs deduplicating. Maximality comes from the completion
+// masks (no group extends at all): a state that builds no child need not
+// be maximal.
 //
 // Adding l to one copy of group g of a valid state S introduces exactly
 // the choices where that copy picks l, so l is a valid extension iff
 // c + l ∈ half.Node for every choice multiset c of S minus that copy.
 // The completion index turns this into one pass per (state, group): the
 // AND of the completion masks of those choices, minus g's own set, is
-// every label that extends g. States are identities in arena.ids
-// (packed group words), and children are built and interned in
-// per-worker scratch, so expanding a state allocates nothing.
+// every label that extends g.
 //
-// The exploration is level-synchronous: each frontier of newly visited
-// states is expanded in parallel, and the children are merged
-// sequentially in frontier order against a dense visited bitmap. Because
-// the reachable closure, the maximal subset, and the sorted output are
-// all schedule-independent, every worker count produces byte-identical
-// results. So does the budget: the roots are admitted free, and the step
-// fails iff the valid set-configurations (all entries non-empty)
-// outnumber max(maxStates, |h|).
+// Each worker walks its share of the roots depth-first in private
+// scratch (see explorer); states are self-contained word sequences, so
+// the search writes no shared table, and label sets are interned only
+// for the maximal configurations returned, whose content-sorted order
+// is schedule-independent. The roots are free and every other state
+// takes one unit of one shared budget of max(maxStates − |h|, 0) when it
+// is built. Every valid state is built exactly once whatever the
+// schedule, so for every worker count the step fails iff the valid
+// set-configurations outnumber max(maxStates, |h|), and a failing step
+// stops at its first state over the budget.
 func maximalNodeSetConfigs(half *Problem, o speedupOptions) ([]setConfig, *setArena, error) {
 	n := half.Alpha.Size()
 	if half.Delta() > 255 {
 		return nil, nil, fmt.Errorf("core: second half step: Δ=%d exceeds the supported 255", half.Delta())
 	}
-	arena := newSetArena(n)
+	roots := half.Node.Configs()
+	budget := newStateBudget(max(o.maxStates-len(roots), 0))
 	index := newCompletionIndex(half.Node, n)
-	maxStates := o.maxStates
-
-	// visited/maximal are dense over the identity arena; handle values
-	// may be assigned racily during parallel expansion, but membership
-	// and the budget count only depend on the set of identities, which
-	// is schedule-independent.
-	var visited boolByHandle
-	visitedCount := 0
-	var maximal, frontier, spare []intern.Handle
-	for _, cfg := range half.Node.Configs() {
-		id := singletonSetConfig(arena, cfg).id(arena)
-		if !visited.get(id) {
-			visited.set(id)
-			visitedCount++
-			frontier = append(frontier, id)
-		}
-	}
-
-	explorers := make([]*explorer, o.workerCount(math.MaxInt))
+	explorers := make([]*explorer, o.workerCount(len(roots)))
 	for w := range explorers {
-		explorers[w] = &explorer{arena: arena, index: index,
+		explorers[w] = &explorer{n: n, words: index.words, index: index, budget: budget,
 			key: make([]byte, n), mask: bitset.New(n), grown: bitset.New(n)}
 	}
-	// spans[i] locates the children of frontier[i] in the buffer of the
-	// worker that expanded it.
-	type span struct{ worker, lo, hi int }
-	var spans []span
-	for len(frontier) > 0 {
-		for _, x := range explorers {
-			x.children = x.children[:0]
-		}
-		spans = slices.Grow(spans[:0], len(frontier))[:len(frontier)]
-		_ = runSharded(o.workerCount(len(frontier)), len(frontier), func(w, i int) error {
-			x := explorers[w]
-			lo := len(x.children)
-			x.expand(frontier[i])
-			spans[i] = span{worker: w, lo: lo, hi: len(x.children)}
-			return nil
-		})
-
-		next := spare[:0]
-		for i, id := range frontier {
-			sp := spans[i]
-			if sp.lo == sp.hi {
-				maximal = append(maximal, id)
-				continue
-			}
-			for _, child := range explorers[sp.worker].children[sp.lo:sp.hi] {
-				if visited.get(child) {
-					continue
-				}
-				if visitedCount >= maxStates {
-					return nil, nil, fmt.Errorf("core: second half step: exceeded state budget of %d set-configurations: %w", maxStates, ErrStateBudget)
-				}
-				visited.set(child)
-				visitedCount++
-				next = append(next, child)
-			}
-		}
-		frontier, spare = next, frontier
+	err := runSharded(len(explorers), len(roots), func(w, i int) error {
+		return explorers[w].walk(roots[i])
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: second half step: exceeded state budget of %d set-configurations: %w", o.maxStates, err)
 	}
 
-	configs := make([]setConfig, len(maximal))
-	for i, id := range maximal {
-		configs[i] = arena.config(id)
+	arena := newSetArena(n)
+	stride := index.words + 1
+	total := 0
+	for _, x := range explorers {
+		total += len(x.found) / stride
+	}
+	groups := make([]scGroup, 0, total)
+	var configs []setConfig
+	for _, x := range explorers {
+		start := 0
+		for _, end := range x.foundEnds {
+			lo := len(groups)
+			for g := start; g < end; g += stride {
+				set := arena.sets.Intern(x.found[g : g+index.words])
+				groups = append(groups, scGroup{set: set, count: int(x.found[g+index.words])})
+			}
+			configs = append(configs, setConfig{groups: groups[lo:len(groups):len(groups)]})
+			start = end
+		}
 	}
 	slices.SortFunc(configs, func(x, y setConfig) int { return x.compare(arena, y) })
 	return configs, arena, nil
-}
-
-// boolByHandle is a growable dense bitmap indexed by intern handles.
-type boolByHandle []bool
-
-func (b boolByHandle) get(h intern.Handle) bool {
-	return int(h) < len(b) && b[h]
-}
-
-func (b *boolByHandle) set(h intern.Handle) {
-	for int(h) >= len(*b) {
-		*b = append(*b, false)
-	}
-	(*b)[h] = true
 }
 
 // completionIndex maps every (Δ−1)-sub-multiset c of a configuration of
@@ -366,38 +280,91 @@ func newCompletionIndex(h Constraint, n int) completionIndex {
 	return ix
 }
 
-// explorer is one worker's scratch for expanding exploration states.
-// Its buffers are reused from state to state and level to level.
+// explorer is one worker's scratch for the search. A state is a
+// self-contained word sequence: for each group in content order, the
+// words of its label set, then its multiplicity. The buffers are reused
+// from state to state and root to root.
 type explorer struct {
-	arena   *setArena
-	index   completionIndex
-	sets    []bitset.Set // groups of the state being expanded
-	counts  []int        // their multiplicities (one less for the slot being extended)
-	members [][]int      // their member labels
-	key     []byte       // multiplicity vector of the choice being enumerated
-	mask    bitset.Set   // AND of the completion masks seen so far
-	grown   bitset.Set   // the extended slot's set plus the added label
-	words   []uint64     // packed groups of the child being built
-	// children collects the identities found this level, in frontier
-	// order per state, group by group and by ascending label.
-	children []intern.Handle
+	n, words  int // alphabet size; words per label set
+	index     completionIndex
+	budget    *stateBudget
+	stack     []uint64     // states still to expand, back to back
+	starts    []int        // start of each state in stack
+	cur       []uint64     // the state being expanded
+	found     []uint64     // maximal states found, back to back
+	foundEnds []int        // end of each state in found
+	sets      []bitset.Set // groups of cur (views into it)
+	counts    []int        // their multiplicities (one less for the slot being extended)
+	members   [][]int      // their member labels
+	key       []byte       // multiplicity vector of the choice being enumerated
+	mask      bitset.Set   // AND of the completion masks seen so far
+	grown     bitset.Set   // the extended slot's set plus the added label
 }
 
-// expand appends the identity of every single-label extension of state
-// id to x.children.
-func (x *explorer) expand(id intern.Handle) {
-	state := x.arena.ids.Seq(id)
+// walk explores the subtree of one root depth-first: the configuration
+// cfg as singleton groups, insertion-sorted into content order. It
+// returns ErrStateBudget as soon as the shared budget runs out.
+func (x *explorer) walk(cfg Config) error {
+	stride := x.words + 1
+	x.stack = x.stack[:0]
+	cfg.ForEach(func(l Label, c int) {
+		g := len(x.stack)
+		for range x.words {
+			x.stack = append(x.stack, 0)
+		}
+		x.stack[g+int(l)/64] = 1 << (uint(l) % 64)
+		x.stack = append(x.stack, uint64(c))
+		for ; g > 0 && x.compareGroups(g-stride, g) > 0; g -= stride {
+			for k := g - stride; k < g; k++ {
+				x.stack[k], x.stack[k+stride] = x.stack[k+stride], x.stack[k]
+			}
+		}
+	})
+	x.starts = append(x.starts[:0], 0)
+	for len(x.starts) > 0 {
+		last := len(x.starts) - 1
+		start := x.starts[last]
+		x.cur = append(x.cur[:0], x.stack[start:]...)
+		x.stack, x.starts = x.stack[:start], x.starts[:last]
+		if !x.expand() {
+			return ErrStateBudget
+		}
+	}
+	return nil
+}
+
+// compareGroups compares by content the label sets of the groups at
+// offsets i and j of the stack.
+func (x *explorer) compareGroups(i, j int) int {
+	return bitset.Compare(bitset.Wrap(x.n, x.stack[i:i+x.words]), bitset.Wrap(x.n, x.stack[j:j+x.words]))
+}
+
+// expand pushes every child of x.cur whose canonical parent it is, and
+// records x.cur as maximal when no group has a valid extension at all.
+// It reports false when a child finds the budget spent.
+func (x *explorer) expand() bool {
+	stride := x.words + 1
 	x.sets, x.counts = x.sets[:0], x.counts[:0]
-	for len(x.members) < len(state) {
-		x.members = append(x.members, nil)
-	}
-	for j, w := range state {
-		s := x.arena.view(intern.Handle(w >> 32))
+	top := -1 // the content-greatest group of two or more labels
+	for g := 0; g < len(x.cur); g += stride {
+		j := len(x.sets)
+		if j == len(x.members) {
+			x.members = append(x.members, nil)
+		}
+		s := bitset.Wrap(x.n, x.cur[g:g+x.words])
 		x.sets = append(x.sets, s)
-		x.counts = append(x.counts, int(uint32(w)))
+		x.counts = append(x.counts, int(x.cur[g+x.words]))
 		x.members[j] = s.AppendIndices(x.members[j][:0])
+		if len(x.members[j]) > 1 {
+			top = j
+		}
 	}
+	maximal := true
 	for gi, slot := range x.sets {
+		hi := x.members[gi][len(x.members[gi])-1]
+		if !maximal && hi == x.n-1 {
+			continue // no label above hi: nothing left to learn here
+		}
 		x.counts[gi]--
 		x.mask.FillInPlace()
 		x.narrow(slot, 0, 0, x.counts[0])
@@ -405,10 +372,28 @@ func (x *explorer) expand(id intern.Handle) {
 		sw := slot.Words()
 		for w, m := range x.mask.Words() {
 			for ext := m &^ sw[w]; ext != 0; ext &= ext - 1 {
-				x.children = append(x.children, x.child(state, gi, w*64+bits.TrailingZeros64(ext)))
+				maximal = false
+				l := w*64 + bits.TrailingZeros64(ext)
+				if l < hi {
+					continue
+				}
+				copy(x.grown.Words(), sw)
+				x.grown.Add(l)
+				if top > gi && bitset.Compare(x.grown, x.sets[top]) < 0 {
+					continue
+				}
+				if !x.budget.Take() {
+					return false
+				}
+				x.push(gi)
 			}
 		}
 	}
+	if maximal {
+		x.found = append(x.found, x.cur...)
+		x.foundEnds = append(x.foundEnds, len(x.found))
+	}
+	return true
 }
 
 // narrow ANDs into x.mask the completion masks of every choice multiset
@@ -423,7 +408,7 @@ func (x *explorer) narrow(slot bitset.Set, j, from, left int) bool {
 				x.mask.ClearInPlace()
 				return false
 			}
-			x.mask.IntersectInPlace(bitset.Wrap(x.arena.n, x.index.masks[off:off+x.index.words]))
+			x.mask.IntersectInPlace(bitset.Wrap(x.n, x.index.masks[off:off+x.index.words]))
 			return !x.mask.SubsetOf(slot)
 		}
 		from, left = 0, x.counts[j]
@@ -440,34 +425,37 @@ func (x *explorer) narrow(slot bitset.Set, j, from, left int) bool {
 	return true
 }
 
-// child interns the state with label l added to one copy of group gi.
-// The grown set is inserted at its content position, or merged into an
-// equal group, so the packed words stay canonical without sorting.
-func (x *explorer) child(state []uint64, gi, l int) intern.Handle {
-	copy(x.grown.Words(), x.sets[gi].Words())
-	x.grown.Add(l)
-	h := x.arena.intern(x.grown)
+// push pushes x.cur with one copy of group gi replaced by x.grown, which
+// is inserted at its content position or merged into an equal group, so
+// the child's groups stay in content order without sorting.
+func (x *explorer) push(gi int) {
+	x.starts = append(x.starts, len(x.stack))
 	placed := false
-	x.words = x.words[:0]
-	for j, w := range state {
+	for j, s := range x.sets {
+		c := x.counts[j]
 		if !placed {
-			if intern.Handle(w>>32) == h {
-				w++
-				placed = true
-			} else if bitset.Compare(x.grown, x.sets[j]) < 0 {
-				x.words = append(x.words, uint64(h)<<32|1)
+			if cmp := bitset.Compare(x.grown, s); cmp <= 0 {
+				if cmp < 0 {
+					x.pushGroup(x.grown, 1)
+				} else {
+					c++
+				}
 				placed = true
 			}
 		}
 		if j == gi {
-			w--
+			c--
 		}
-		if uint32(w) > 0 {
-			x.words = append(x.words, w)
+		if c > 0 {
+			x.pushGroup(s, c)
 		}
 	}
 	if !placed {
-		x.words = append(x.words, uint64(h)<<32|1)
+		x.pushGroup(x.grown, 1)
 	}
-	return x.arena.ids.Intern(x.words)
+}
+
+// pushGroup appends one group to the state on top of the stack.
+func (x *explorer) pushGroup(s bitset.Set, count int) {
+	x.stack = append(append(x.stack, s.Words()...), uint64(count))
 }

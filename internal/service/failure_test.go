@@ -128,3 +128,41 @@ func TestFixpointFailureMemoStoreModes(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetMemosBounded: a client cycling through maxBudgetMemos+1
+// distinct budgets leaves at most maxBudgetMemos memos in each
+// per-budget map, and at the first budget, after the overflow cleared
+// its memos, a repeat request returns the first body and a new problem
+// the body a fresh engine computes.
+func TestBudgetMemosBounded(t *testing.T) {
+	e, srv := serve(t, "")
+	req := func(text string, states int) FixpointRequest {
+		return FixpointRequest{Problem: text, MaxSteps: 2, MaxStates: states}
+	}
+	const base = 1000
+	status, first := post(t, srv.URL, "/v1/fixpoint", req(orientationText(), base))
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, first)
+	}
+	for b := base + 1; b <= base+maxBudgetMemos; b++ {
+		if status, body := post(t, srv.URL, "/v1/fixpoint", req(orientationText(), b)); status != http.StatusOK {
+			t.Fatalf("budget %d: status %d: %s", b, status, body)
+		}
+	}
+	e.mu.Lock()
+	steps, failures := len(e.stepMemos), len(e.failMemos)
+	e.mu.Unlock()
+	if steps > maxBudgetMemos || failures > maxBudgetMemos {
+		t.Fatalf("%d budgets left %d step memos and %d failure memos, want at most %d each",
+			maxBudgetMemos+1, steps, failures, maxBudgetMemos)
+	}
+	if status, again := post(t, srv.URL, "/v1/fixpoint", req(orientationText(), base)); status != http.StatusOK || !bytes.Equal(again, first) {
+		t.Fatalf("repeat at the first budget: status %d, body differs:\n%s\nvs\n%s", status, again, first)
+	}
+	coloring := string(problems.SinklessColoring(3).CanonicalBytes())
+	_, freshSrv := serve(t, "")
+	_, want := post(t, freshSrv.URL, "/v1/fixpoint", req(coloring, base))
+	if status, got := post(t, srv.URL, "/v1/fixpoint", req(coloring, base)); status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("new problem at the first budget: status %d, body differs from a fresh engine's:\n%s\nvs\n%s", status, got, want)
+	}
+}

@@ -75,36 +75,32 @@ const maxRenderedMemo = 4096
 // and concurrent identical queries subscribe to the same run, so every
 // client of a key receives byte-identical bytes.
 func (e *Engine) Fixpoint(ctx context.Context, req FixpointRequest, sink func(line []byte) error) error {
-	body, ok, err := e.FixpointBody(req)
+	body, miss, err := e.lookupFixpoint(req)
 	if err != nil {
 		return err
 	}
-	if ok {
+	if miss == nil {
 		return sink(body)
 	}
-	return e.fixpointCold(ctx, req, sink)
+	return e.fixpointCold(ctx, miss, sink)
+}
+
+// fixpointQuery is a fixpoint request that every warm tier missed, as
+// the lookup parsed and keyed it, so the cold run does neither again.
+type fixpointQuery struct {
+	p      *core.Problem
+	params store.TrajectoryParams
+	key    string // fixpointFlightKey
+	rkey   renderedKey
 }
 
 // fixpointCold is the computing half of Fixpoint, entered after
-// FixpointBody reported a full warm miss (the HTTP handler calls the
+// lookupFixpoint reported a full warm miss (the HTTP handler calls the
 // halves separately so a warm body can be served fully buffered with a
 // Content-Length while a cold run streams).
-func (e *Engine) fixpointCold(ctx context.Context, req FixpointRequest, sink func(line []byte) error) error {
-	// FixpointBody validated and parsed the request already;
-	// re-deriving the identity here is noise next to the computation.
-	maxSteps := req.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = fixpoint.DefaultMaxSteps
-	}
-	p, err := parseProblem(req.Problem)
-	if err != nil {
-		return err
-	}
-	params := store.TrajectoryParams{MaxSteps: maxSteps, MaxStates: req.MaxStates}
-	rkey := renderedKey{problem: req.Problem, maxSteps: maxSteps, maxStates: req.MaxStates}
-	key := fixpointFlightKey(p, params)
-	_, err = e.inflight(ctx, key, sink, func(c *call) {
-		c.finish(e.computeFixpoint(c, p, params, key, rkey))
+func (e *Engine) fixpointCold(ctx context.Context, q *fixpointQuery, sink func(line []byte) error) error {
+	_, err := e.inflight(ctx, q.key, sink, func(c *call) {
+		c.finish(e.computeFixpoint(c, q))
 	})
 	return err
 }
@@ -123,12 +119,20 @@ func (e *Engine) fixpointCold(ctx context.Context, req FixpointRequest, sink fun
 // deterministic pipeline, a body served here is byte-identical to the
 // cold stream for the same request.
 func (e *Engine) FixpointBody(req FixpointRequest) ([]byte, bool, error) {
+	body, miss, err := e.lookupFixpoint(req)
+	return body, miss == nil && err == nil, err
+}
+
+// lookupFixpoint is FixpointBody returning, on a full warm miss, the
+// parsed and keyed request for fixpointCold instead of false: exactly
+// one of body, miss and err is non-nil.
+func (e *Engine) lookupFixpoint(req FixpointRequest) (body []byte, miss *fixpointQuery, err error) {
 	maxSteps := req.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = fixpoint.DefaultMaxSteps
 	}
 	if err := validateRequestBudgets(maxSteps, req.MaxStates); err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 	rkey := renderedKey{problem: req.Problem, maxSteps: maxSteps, maxStates: req.MaxStates}
 	e.renderedMu.RLock()
@@ -136,22 +140,22 @@ func (e *Engine) FixpointBody(req FixpointRequest) ([]byte, bool, error) {
 	e.renderedMu.RUnlock()
 	if ok {
 		e.metrics.warmLookup("rendered", "hit")
-		return body, true, nil
+		return body, nil, nil
 	}
 	p, err := parseProblem(req.Problem)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 	params := store.TrajectoryParams{MaxSteps: maxSteps, MaxStates: req.MaxStates}
 	if body, ok := e.lookupRendered(p, params); ok {
 		e.memoizeRendered(rkey, body)
-		return body, true, nil
+		return body, nil, nil
 	}
 	key := fixpointFlightKey(p, params)
 	if res, ok := e.lookupTrajectory(key, p, params); ok {
 		body = RenderFixpointNDJSON(res)
 		e.memoizeRendered(rkey, body)
-		return body, true, nil
+		return body, nil, nil
 	}
 	// Every local tier missed: ask the key's ring owner before
 	// computing cold (no-op for a solo engine). A peer-served body is
@@ -159,9 +163,9 @@ func (e *Engine) FixpointBody(req FixpointRequest) ([]byte, bool, error) {
 	// other warm hit.
 	if body, ok := e.peerFixpoint(key, p, params); ok {
 		e.memoizeRendered(rkey, body)
-		return body, true, nil
+		return body, nil, nil
 	}
-	return nil, false, nil
+	return nil, &fixpointQuery{p: p, params: params, key: key, rkey: rkey}, nil
 }
 
 // fixpointFlightKey is the singleflight and memory-cache key of one
@@ -250,7 +254,7 @@ func (e *Engine) lookupTrajectory(key string, p *core.Problem, params store.Traj
 // shutdown and subscriber abandonment both stop it at the next step
 // boundary, with every completed step already checkpointed through the
 // step memo.
-func (e *Engine) computeFixpoint(c *call, p *core.Problem, params store.TrajectoryParams, key string, rkey renderedKey) (any, error) {
+func (e *Engine) computeFixpoint(c *call, q *fixpointQuery) (any, error) {
 	if err := e.enter(); err != nil {
 		return nil, err
 	}
@@ -259,14 +263,14 @@ func (e *Engine) computeFixpoint(c *call, p *core.Problem, params store.Trajecto
 	// rendered response committed below, so a later rendered-tier hit
 	// replays this stream verbatim.
 	var body []byte
-	res, err := fixpoint.Run(p, fixpoint.Options{
-		MaxSteps: params.MaxSteps,
-		Core:     e.coreOpts(params.MaxStates),
-		Memo:     e.stepMemo(params.MaxStates),
-		Failures: e.failureMemo(params.MaxStates),
+	res, err := fixpoint.Run(q.p, fixpoint.Options{
+		MaxSteps: q.params.MaxSteps,
+		Core:     e.coreOpts(q.params.MaxStates),
+		Memo:     e.stepMemo(q.params.MaxStates),
+		Failures: e.failureMemo(q.params.MaxStates),
 		Ctx:      c.ctx,
-		Observe: func(index int, q *core.Problem) {
-			line := marshalLine(FixpointEntry{Index: index, Problem: viewOf(q)})
+		Observe: func(index int, entry *core.Problem) {
+			line := marshalLine(FixpointEntry{Index: index, Problem: viewOf(entry)})
 			body = append(body, line...)
 			c.emit(line)
 			if e.stepHook != nil {
@@ -293,14 +297,14 @@ func (e *Engine) computeFixpoint(c *call, p *core.Problem, params store.Trajecto
 	c.emit(line)
 	if e.st != nil {
 		// Failed commits only cost warmth, never correctness.
-		_ = e.st.PutTrajectory(p, params, res)
-		_ = e.st.PutRendered(p, params, body)
+		_ = e.st.PutTrajectory(q.p, q.params, res)
+		_ = e.st.PutRendered(q.p, q.params, body)
 	} else {
 		e.mu.Lock()
-		e.trajCache[key] = res
+		e.trajCache[q.key] = res
 		e.mu.Unlock()
 	}
-	e.memoizeRendered(rkey, body)
+	e.memoizeRendered(q.rkey, body)
 	return res, nil
 }
 

@@ -65,10 +65,12 @@ func registerQueryRoutes(mux *http.ServeMux, e *Engine, m *Metrics) {
 		// served fully buffered — one Write, with a Content-Length —
 		// instead of through the streaming machinery. The bytes are the
 		// same either way.
-		if body, ok, err := e.FixpointBody(req); err != nil {
+		body, miss, err := e.lookupFixpoint(req)
+		if err != nil {
 			writeError(w, err)
 			return
-		} else if ok {
+		}
+		if miss == nil {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 			w.WriteHeader(http.StatusOK)
@@ -82,7 +84,7 @@ func registerQueryRoutes(mux *http.ServeMux, e *Engine, m *Metrics) {
 		// logging/metrics middleware — a plain w.(http.Flusher)
 		// assertion would fail on the first wrapper that hides it.
 		rc := http.NewResponseController(w)
-		err := e.fixpointCold(r.Context(), req, func(line []byte) error {
+		err = e.fixpointCold(r.Context(), miss, func(line []byte) error {
 			if !streaming {
 				w.Header().Set("Content-Type", "application/x-ndjson")
 				w.WriteHeader(http.StatusOK)

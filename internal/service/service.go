@@ -119,7 +119,7 @@ type Engine struct {
 
 	// failMemos maps a budget to its memo of state-budget failures.
 	// Unlike stepMemos it exists in every store mode: failures have no
-	// record kind.
+	// record kind. Both maps hold at most maxBudgetMemos budgets.
 	failMemos map[int]*fixpoint.IsoFailureMemo
 
 	// rendered memoizes complete fixpoint response bodies by exact raw
@@ -221,6 +221,7 @@ func (e *Engine) stepMemo(maxStates int) fixpoint.Memo {
 		e.mu.Lock()
 		mm, ok := e.stepMemos[maxStates]
 		if !ok {
+			e.makeBudgetRoom(len(e.stepMemos))
 			mm = fixpoint.NewMapMemo()
 			e.stepMemos[maxStates] = mm
 		}
@@ -246,6 +247,7 @@ func (e *Engine) failureMemo(maxStates int) fixpoint.FailureMemo {
 	e.mu.Lock()
 	fm, ok := e.failMemos[maxStates]
 	if !ok {
+		e.makeBudgetRoom(len(e.failMemos))
 		fm = fixpoint.NewIsoFailureMemo()
 		e.failMemos[maxStates] = fm
 	}
@@ -254,6 +256,22 @@ func (e *Engine) failureMemo(maxStates int) fixpoint.FailureMemo {
 		return fm
 	}
 	return observedFailureMemo{inner: fm, metrics: e.metrics}
+}
+
+// maxBudgetMemos bounds the number of budgets that keep a memo in
+// stepMemos and in failMemos. Clients choose max_states freely up to
+// MaxRequestStates, so a client cycling budgets would otherwise grow
+// both maps without bound.
+const maxBudgetMemos = 64
+
+// makeBudgetRoom clears stepMemos and failMemos wholesale, like the
+// rendered memo, when a map holding n budgets is full; e.mu is held.
+// Runs in flight keep the memos they already hold.
+func (e *Engine) makeBudgetRoom(n int) {
+	if n >= maxBudgetMemos {
+		clear(e.stepMemos)
+		clear(e.failMemos)
+	}
 }
 
 // storeStepMemo adapts the store's budget-scoped step records to
