@@ -101,7 +101,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8089", "listen address")
-	storeDir := flag.String("store", "", "persistent result store directory (empty = memory-only warmth)")
+	storeDir := flag.String("store", "", "persistent result store directory (empty = memory-only warmth: rendered bodies, steps and verdicts in bounded in-process maps)")
 	preload := flag.String("preload", "", "packed warm-cache artifact preloaded as a read-only tier (from sweep -pack)")
 	workers := flag.Int("workers", 0, "worker count inside each engine computation (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent engine computations admitted (0 = GOMAXPROCS)")

@@ -251,11 +251,6 @@ func (s Set) SubsetOf(t Set) bool {
 	return true
 }
 
-// ProperSubsetOf reports whether s ⊂ t (subset and not equal).
-func (s Set) ProperSubsetOf(t Set) bool {
-	return s.SubsetOf(t) && !s.Equal(t)
-}
-
 // Intersects reports whether s ∩ t is non-empty.
 func (s Set) Intersects(t Set) bool {
 	s.sameUniverse(t)

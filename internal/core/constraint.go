@@ -79,11 +79,6 @@ func (c Constraint) MustAdd(cfg Config) {
 	}
 }
 
-// AddLabels inserts the configuration formed by the given labels.
-func (c Constraint) AddLabels(labels ...Label) error {
-	return c.Add(NewConfig(labels...))
-}
-
 // Contains reports whether the configuration is allowed. It never
 // inserts, so concurrent readers are safe.
 func (c Constraint) Contains(cfg Config) bool {

@@ -16,11 +16,8 @@ type stateBudget = par.Budget
 
 func newStateBudget(n int) *stateBudget { return par.NewBudget(n) }
 
-// runIndexed executes fn(i) for i in [0, n) across workers with
-// dynamic work-stealing; see par.RunIndexed.
-func runIndexed(workers, n int, fn func(i int)) { par.RunIndexed(workers, n, fn) }
-
-// runSharded is runIndexed for per-worker accumulators with error
+// runSharded executes fn(worker, i) for i in [0, n) across workers
+// with dynamic work-stealing, per-worker accumulators and error
 // propagation; see par.RunSharded.
 func runSharded(workers, n int, fn func(worker, i int) error) error {
 	return par.RunSharded(workers, n, fn)

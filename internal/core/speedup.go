@@ -346,25 +346,3 @@ func Speedup(p *Problem, opts ...Option) (*Problem, error) {
 	}
 	return SecondHalfStep(half, opts...)
 }
-
-// SpeedupSequence applies Speedup iteratively, renaming labels compactly
-// after each step, and returns the sequence [Π_1, Π_2, ..., Π_steps]. It
-// stops early (returning the shorter sequence and no error) if a derived
-// problem becomes empty (no usable configurations).
-func SpeedupSequence(p *Problem, steps int, opts ...Option) ([]*Problem, error) {
-	out := make([]*Problem, 0, steps)
-	cur := p
-	for i := 0; i < steps; i++ {
-		next, err := Speedup(cur, opts...)
-		if err != nil {
-			return out, err
-		}
-		next, _ = next.RenameCompact()
-		out = append(out, next)
-		if next.Node.Size() == 0 || next.Edge.Size() == 0 {
-			return out, nil
-		}
-		cur = next
-	}
-	return out, nil
-}

@@ -9,7 +9,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Graph is a simple undirected graph. Each node's incident edges are
@@ -337,21 +336,4 @@ func (g *Graph) Nodes() []int {
 		out[i] = i
 	}
 	return out
-}
-
-// SortedEdges returns edge ids ordered by (u, v); deterministic iteration
-// order for tests and output.
-func (g *Graph) SortedEdges() []int {
-	ids := make([]int, len(g.edges))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ea, eb := g.edges[ids[a]], g.edges[ids[b]]
-		if ea.u != eb.u {
-			return ea.u < eb.u
-		}
-		return ea.v < eb.v
-	})
-	return ids
 }

@@ -131,16 +131,8 @@ func Conformance(name string, p *core.Problem, fams Families, maxT int, opts ...
 	}
 
 	// Speedup soundness on the oriented family, one pair per t. The
-	// derivation runs under the conformance worker count and — when
-	// WithSpeedupStates set one — a state budget, so a randomized
-	// harness can feed arbitrary generated problems without risking an
-	// unbounded enumeration (the budget error surfaces to the caller,
-	// which treats it as "too heavy to cross-check", not a failure).
-	spOpts := []core.Option{core.WithWorkers(o.workers)}
-	if n := o.speedupStates; n > 0 {
-		spOpts = append(spOpts, core.WithMaxStates(n))
-	}
-	sp, err := core.Speedup(p, spOpts...)
+	// derivation runs under the conformance worker count.
+	sp, err := core.Speedup(p, core.WithWorkers(o.workers))
 	if err != nil {
 		return nil, fmt.Errorf("oracle: conformance: speedup of %s: %w", name, err)
 	}

@@ -57,7 +57,6 @@ type options struct {
 	maxSteps       int
 	relaxed        bool
 	fixpointStates int
-	speedupStates  int
 }
 
 // Option configures Decide.
@@ -96,17 +95,6 @@ func WithRelaxedDegrees() Option {
 // upper bound" instead of stalling the run). Ignored by Decide.
 func WithFixpointStates(n int) Option {
 	return func(o *options) { o.fixpointStates = n }
-}
-
-// WithSpeedupStates bounds the core.WithMaxStates budget Conformance
-// grants its one-shot Speedup derivation (the Π → Π_1 it decides the
-// speedup-soundness relation on). The default, 0, leaves the derivation
-// unbounded — correct for the hand-picked catalog, but a randomized
-// harness feeding arbitrary generated problems must set a budget so a
-// pathological Π degrades to a budget error instead of an unbounded
-// enumeration. Ignored by Decide.
-func WithSpeedupStates(n int) Option {
-	return func(o *options) { o.speedupStates = n }
 }
 
 // defaultFixpointStates keeps the conformance fixpoint classification

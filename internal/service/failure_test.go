@@ -130,10 +130,10 @@ func TestFixpointFailureMemoStoreModes(t *testing.T) {
 }
 
 // TestBudgetMemosBounded: a client cycling through maxBudgetMemos+1
-// distinct budgets leaves at most maxBudgetMemos memos in each
-// per-budget map, and at the first budget, after the overflow cleared
-// its memos, a repeat request returns the first body and a new problem
-// the body a fresh engine computes.
+// distinct budgets leaves at most maxBudgetMemos failure memos and at
+// most maxMemRecords memory-mode steps, and at the first budget, after
+// the overflow cleared its memos, a repeat request returns the first
+// body and a new problem the body a fresh engine computes.
 func TestBudgetMemosBounded(t *testing.T) {
 	e, srv := serve(t, "")
 	req := func(text string, states int) FixpointRequest {
@@ -149,12 +149,10 @@ func TestBudgetMemosBounded(t *testing.T) {
 			t.Fatalf("budget %d: status %d: %s", b, status, body)
 		}
 	}
-	e.mu.Lock()
-	steps, failures := len(e.stepMemos), len(e.failMemos)
-	e.mu.Unlock()
-	if steps > maxBudgetMemos || failures > maxBudgetMemos {
-		t.Fatalf("%d budgets left %d step memos and %d failure memos, want at most %d each",
-			maxBudgetMemos+1, steps, failures, maxBudgetMemos)
+	steps, failures := e.sink.(memRecords).steps.len(), e.failMemos.len()
+	if steps > maxMemRecords || failures > maxBudgetMemos {
+		t.Fatalf("%d budgets left %d steps and %d failure memos, want at most %d and %d",
+			maxBudgetMemos+1, steps, failures, maxMemRecords, maxBudgetMemos)
 	}
 	if status, again := post(t, srv.URL, "/v1/fixpoint", req(orientationText(), base)); status != http.StatusOK || !bytes.Equal(again, first) {
 		t.Fatalf("repeat at the first budget: status %d, body differs:\n%s\nvs\n%s", status, again, first)

@@ -86,11 +86,10 @@ func (e *Engine) Fixpoint(ctx context.Context, req FixpointRequest, sink func(li
 }
 
 // fixpointQuery is a fixpoint request that every warm tier missed, as
-// the lookup parsed and keyed it, so the cold run does neither again.
+// the lookup parsed it, so the cold run does not parse it again.
 type fixpointQuery struct {
 	p      *core.Problem
 	params store.TrajectoryParams
-	key    string // fixpointFlightKey
 	rkey   renderedKey
 }
 
@@ -99,7 +98,7 @@ type fixpointQuery struct {
 // halves separately so a warm body can be served fully buffered with a
 // Content-Length while a cold run streams).
 func (e *Engine) fixpointCold(ctx context.Context, q *fixpointQuery, sink func(line []byte) error) error {
-	_, err := e.inflight(ctx, q.key, sink, func(c *call) {
+	_, err := e.inflight(ctx, fixpointFlightKey(q.p, q.params), sink, func(c *call) {
 		c.finish(e.computeFixpoint(c, q))
 	})
 	return err
@@ -135,10 +134,7 @@ func (e *Engine) lookupFixpoint(req FixpointRequest) (body []byte, miss *fixpoin
 		return nil, nil, err
 	}
 	rkey := renderedKey{problem: req.Problem, maxSteps: maxSteps, maxStates: req.MaxStates}
-	e.renderedMu.RLock()
-	body, ok := e.rendered[rkey]
-	e.renderedMu.RUnlock()
-	if ok {
+	if body, ok := e.rendered.get(rkey); ok {
 		e.metrics.warmLookup("rendered", "hit")
 		return body, nil, nil
 	}
@@ -147,36 +143,35 @@ func (e *Engine) lookupFixpoint(req FixpointRequest) (body []byte, miss *fixpoin
 		return nil, nil, err
 	}
 	params := store.TrajectoryParams{MaxSteps: maxSteps, MaxStates: req.MaxStates}
-	if body, ok := e.lookupRendered(p, params); ok {
-		e.memoizeRendered(rkey, body)
+	body, ok := e.lookupRendered(p, params)
+	if !ok {
+		if res, hit := lookup(e, "trajectory", recordTier.GetTrajectory, p, params); hit {
+			body, ok = RenderFixpointNDJSON(res), true
+		}
+	}
+	if !ok {
+		// Every local tier missed: ask the key's ring owner before
+		// computing cold (no-op for a solo engine). A peer-served body
+		// is backfilled into the sink and memoized like any other warm
+		// hit.
+		body, ok = e.peerFixpoint(p, params)
+	}
+	if ok {
+		e.rendered.put(rkey, body)
 		return body, nil, nil
 	}
-	key := fixpointFlightKey(p, params)
-	if res, ok := e.lookupTrajectory(key, p, params); ok {
-		body = RenderFixpointNDJSON(res)
-		e.memoizeRendered(rkey, body)
-		return body, nil, nil
-	}
-	// Every local tier missed: ask the key's ring owner before
-	// computing cold (no-op for a solo engine). A peer-served body is
-	// backfilled into the local record tiers and memoized like any
-	// other warm hit.
-	if body, ok := e.peerFixpoint(key, p, params); ok {
-		e.memoizeRendered(rkey, body)
-		return body, nil, nil
-	}
-	return nil, &fixpointQuery{p: p, params: params, key: key, rkey: rkey}, nil
+	return nil, &fixpointQuery{p: p, params: params, rkey: rkey}, nil
 }
 
-// fixpointFlightKey is the singleflight and memory-cache key of one
-// fixpoint query: stable problem fingerprint plus both budgets.
+// fixpointFlightKey is the singleflight key of one fixpoint query:
+// stable problem fingerprint plus both budgets.
 func fixpointFlightKey(p *core.Problem, params store.TrajectoryParams) string {
 	return fmt.Sprintf("fixpoint|%s|max_steps=%d|max_states=%d",
 		core.StableKey(p), params.MaxSteps, params.MaxStates)
 }
 
-// lookupRendered consults the rendered-record tiers — the preloaded
-// pack, then the persistent store — and folds both consults into one
+// lookupRendered consults the rendered records of the record tiers —
+// the preloaded pack, then the sink — and folds every consult into one
 // "rendered" warm-lookup outcome (at most one outcome per request for
 // the tier, with "corrupt" reported if any consulted record failed
 // validation). Failures of any kind degrade to a miss: the caller
@@ -184,16 +179,8 @@ func fixpointFlightKey(p *core.Problem, params store.TrajectoryParams) string {
 // damaged body.
 func (e *Engine) lookupRendered(p *core.Problem, params store.TrajectoryParams) ([]byte, bool) {
 	corrupt := false
-	if e.pk != nil {
-		body, ok, err := e.pk.GetRendered(p, params)
-		if ok {
-			e.metrics.warmLookup("rendered", "hit")
-			return body, true
-		}
-		corrupt = corrupt || err != nil
-	}
-	if e.st != nil {
-		body, ok, err := e.st.GetRendered(p, params)
+	for _, t := range e.tiers {
+		body, ok, err := t.GetRendered(p, params)
 		if ok {
 			e.metrics.warmLookup("rendered", "hit")
 			return body, true
@@ -206,45 +193,6 @@ func (e *Engine) lookupRendered(p *core.Problem, params store.TrajectoryParams) 
 		e.metrics.warmLookup("rendered", "miss")
 	}
 	return nil, false
-}
-
-// memoizeRendered publishes a rendered body under its raw-text key.
-func (e *Engine) memoizeRendered(k renderedKey, body []byte) {
-	e.renderedMu.Lock()
-	if len(e.rendered) >= maxRenderedMemo {
-		clear(e.rendered)
-	}
-	e.rendered[k] = body
-	e.renderedMu.Unlock()
-}
-
-// lookupTrajectory consults the warm tiers in order — the preloaded
-// pack (when attached), then the persistent store or the in-process
-// cache — and counts one outcome per tier consulted. Lookup failures
-// of any kind degrade to a miss on the serve path; validation failures
-// (checksum, truncation, version) additionally count as "corrupt" so
-// operators can see a damaged store behind byte-identical responses.
-func (e *Engine) lookupTrajectory(key string, p *core.Problem, params store.TrajectoryParams) (*fixpoint.Result, bool) {
-	if e.pk != nil {
-		res, ok, err := e.pk.GetTrajectory(p, params)
-		e.metrics.warmLookup("pack", warmOutcome(ok, err))
-		if ok {
-			return res, true
-		}
-	}
-	if e.st != nil {
-		res, ok, err := e.st.GetTrajectory(p, params)
-		e.metrics.warmLookup("trajectory", warmOutcome(ok, err))
-		if err != nil || !ok {
-			return nil, false
-		}
-		return res, true
-	}
-	e.mu.Lock()
-	res, ok := e.trajCache[key]
-	e.mu.Unlock()
-	e.metrics.warmLookup("trajectory", warmOutcome(ok, nil))
-	return res, ok
 }
 
 // computeFixpoint runs the driver under the admission gate, emitting
@@ -266,7 +214,7 @@ func (e *Engine) computeFixpoint(c *call, q *fixpointQuery) (any, error) {
 	res, err := fixpoint.Run(q.p, fixpoint.Options{
 		MaxSteps: q.params.MaxSteps,
 		Core:     e.coreOpts(q.params.MaxStates),
-		Memo:     e.stepMemo(q.params.MaxStates),
+		Memo:     stepMemo{e: e, maxStates: q.params.MaxStates},
 		Failures: e.failureMemo(q.params.MaxStates),
 		Ctx:      c.ctx,
 		Observe: func(index int, entry *core.Problem) {
@@ -295,16 +243,10 @@ func (e *Engine) computeFixpoint(c *call, q *fixpointQuery) (any, error) {
 	line := marshalLine(classificationOf(res))
 	body = append(body, line...)
 	c.emit(line)
-	if e.st != nil {
-		// Failed commits only cost warmth, never correctness.
-		_ = e.st.PutTrajectory(q.p, q.params, res)
-		_ = e.st.PutRendered(q.p, q.params, body)
-	} else {
-		e.mu.Lock()
-		e.trajCache[q.key] = res
-		e.mu.Unlock()
-	}
-	e.memoizeRendered(q.rkey, body)
+	// Failed commits only cost warmth, never correctness.
+	_ = e.sink.PutTrajectory(q.p, q.params, res)
+	_ = e.sink.PutRendered(q.p, q.params, body)
+	e.rendered.put(q.rkey, body)
 	return res, nil
 }
 

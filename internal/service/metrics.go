@@ -76,13 +76,14 @@ type peerKey struct {
 var peerOutcomes = []string{"hit", "miss", "corrupt", "unreachable", "skipped"}
 
 // warmTiers are the warm-lookup record tiers instrumented by the
-// engine: the preloaded pack artifact, full-step memo entries, whole
-// trajectories, pre-rendered response bodies, rendered verdicts,
+// engine: the preloaded pack artifact, the sink's full steps, whole
+// trajectories, pre-rendered response bodies and rendered verdicts,
 // in-process half steps, and the in-process per-budget memo of
 // state-budget failures (consulted after a step-memo miss, matched up
-// to label renaming). The "rendered" tier folds its whole chain —
-// in-process memo, pack record, store record — into at most one
-// outcome per request.
+// to label renaming). A memory-only sink keeps no trajectory or
+// rendered records, so those two tiers only miss there. The "rendered"
+// tier folds its whole chain — in-process memo, pack record, sink
+// record — into at most one outcome per request.
 var warmTiers = []string{"pack", "step", "trajectory", "rendered", "verdict", "half", "failure"}
 
 // warmOutcomes are the per-tier lookup outcomes: "hit" served a record,

@@ -341,10 +341,7 @@ func TestClientDisconnectCancelsComputation(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	e.mu.Lock()
-	trajectories := len(e.trajCache)
-	e.mu.Unlock()
-	if trajectories != 0 {
+	if e.rendered.len() != 0 {
 		t.Fatal("abandoned computation committed a trajectory; it was not cancelled")
 	}
 

@@ -160,8 +160,8 @@ func (e *Engine) peerLookup(p *core.Problem, kind store.Kind, key core.StableFin
 }
 
 // peerStep fetches the memoized speedup step for in from its owner,
-// backfilling the local store on a hit so the answer is served locally
-// from then on.
+// backfilling the sink on a hit so the answer is served locally from
+// then on.
 func (e *Engine) peerStep(in *core.Problem, maxStates int) (*core.Problem, bool) {
 	var out *core.Problem
 	hit := e.peerLookup(in, store.KindStep, store.StepRecordKey(in, maxStates), func(frame []byte) (bool, error) {
@@ -172,42 +172,18 @@ func (e *Engine) peerStep(in *core.Problem, maxStates int) (*core.Problem, bool)
 	if !hit {
 		return nil, false
 	}
-	if e.st != nil {
-		// Failed commits only cost warmth, never correctness.
-		_ = e.st.PutStep(in, out, maxStates)
-	}
+	// Failed commits only cost warmth, never correctness.
+	_ = e.sink.PutStep(in, out, maxStates)
 	return out, true
 }
-
-// peerStepMemo chains the peer tier after a local step memo: local
-// lookups first (disk beats network), the owning peer on a local miss.
-// Stores go to the local tier only — the owner commits its own copy
-// when it computes, and backfill on peer hits handles the rest.
-type peerStepMemo struct {
-	e         *Engine
-	maxStates int
-	inner     fixpoint.Memo
-}
-
-// LookupStep consults the local tier, then the owning peer.
-func (m peerStepMemo) LookupStep(in *core.Problem) (*core.Problem, bool) {
-	if out, ok := m.inner.LookupStep(in); ok {
-		return out, true
-	}
-	return m.e.peerStep(in, m.maxStates)
-}
-
-// StoreStep delegates to the local tier.
-func (m peerStepMemo) StoreStep(in, out *core.Problem) { m.inner.StoreStep(in, out) }
 
 // peerFixpoint asks the owner of problem p for a finished fixpoint
 // answer after every local tier missed: the pre-rendered body first
 // (the exact response bytes), the classified trajectory second
-// (re-rendered locally). A hit backfills the local warm tiers — both
-// the trajectory and the rendered record, the same pairing cmd/sweep
-// commits on checkpoint hits — so one peer fetch makes the answer
-// local forever. key is the flight/cache key for memory-only mode.
-func (e *Engine) peerFixpoint(key string, p *core.Problem, params store.TrajectoryParams) ([]byte, bool) {
+// (re-rendered locally). A hit backfills the sink — both the trajectory
+// and the rendered record, the same pairing cmd/sweep commits on
+// checkpoint hits — so one peer fetch makes the answer local.
+func (e *Engine) peerFixpoint(p *core.Problem, params store.TrajectoryParams) ([]byte, bool) {
 	if e.peers == nil {
 		return nil, false
 	}
@@ -217,9 +193,7 @@ func (e *Engine) peerFixpoint(key string, p *core.Problem, params store.Trajecto
 		body = b
 		return ok, err
 	}) {
-		if e.st != nil {
-			_ = e.st.PutRendered(p, params, body)
-		}
+		_ = e.sink.PutRendered(p, params, body)
 		return body, true
 	}
 	var res *fixpoint.Result
@@ -229,14 +203,8 @@ func (e *Engine) peerFixpoint(key string, p *core.Problem, params store.Trajecto
 		return ok, err
 	}) {
 		body = RenderFixpointNDJSON(res)
-		if e.st != nil {
-			_ = e.st.PutTrajectory(p, params, res)
-			_ = e.st.PutRendered(p, params, body)
-		} else {
-			e.mu.Lock()
-			e.trajCache[key] = res
-			e.mu.Unlock()
-		}
+		_ = e.sink.PutTrajectory(p, params, res)
+		_ = e.sink.PutRendered(p, params, body)
 		return body, true
 	}
 	return nil, false

@@ -261,19 +261,17 @@ func TestRenderedMemoEviction(t *testing.T) {
 	e := newEngine(t, "")
 	req := FixpointRequest{Problem: orientationText()}
 	want := fixpointBody(t, e, req)
-	e.renderedMu.Lock()
+	e.rendered.mu.Lock()
 	for i := 0; i < maxRenderedMemo; i++ {
-		e.rendered[renderedKey{problem: fmt.Sprintf("synthetic-%d", i)}] = nil
+		e.rendered.m[renderedKey{problem: fmt.Sprintf("synthetic-%d", i)}] = nil
 	}
-	e.renderedMu.Unlock()
-	e.memoizeRendered(renderedKey{problem: "one-more"}, []byte("x"))
-	e.renderedMu.RLock()
-	size := len(e.rendered)
-	e.renderedMu.RUnlock()
+	e.rendered.mu.Unlock()
+	e.rendered.put(renderedKey{problem: "one-more"}, []byte("x"))
+	size := e.rendered.len()
 	if size > 1 {
 		t.Fatalf("memo holds %d entries after overflow clear, want 1", size)
 	}
 	if got := fixpointBody(t, e, req); !bytes.Equal(got, want) {
-		t.Fatal("post-eviction body differs (memory trajectory cache should refill the memo)")
+		t.Fatal("post-eviction body differs (the step memo should replay it)")
 	}
 }

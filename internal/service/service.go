@@ -50,8 +50,10 @@
 //
 // Without a store directory the engine runs memory-only: the same
 // deduplication and byte-identity hold, with warmth scoped to the
-// process lifetime (and memory growing with the set of distinct queries
-// served — give a long-running daemon a store).
+// process lifetime and kept in maps cleared wholesale when full:
+// rendered bodies (maxRenderedMemo), and steps, verdicts and half steps
+// (maxMemRecords each). It keeps no trajectories, so a repeat that
+// misses the rendered memo replays its steps from the step map.
 package service
 
 import (
@@ -68,7 +70,7 @@ import (
 // Config tunes an Engine.
 type Config struct {
 	// StoreDir is the persistent result store directory; empty selects
-	// memory-only operation.
+	// memory-only operation, with bounded in-process warmth.
 	StoreDir string
 	// Workers is the core.WithWorkers count used inside each engine
 	// computation (0 = GOMAXPROCS).
@@ -101,6 +103,8 @@ type Config struct {
 type Engine struct {
 	st      *store.Store      // nil = memory-only
 	pk      *store.PackReader // nil = no preloaded pack tier
+	sink    recordSink        // st, or memRecords when memory-only
+	tiers   []recordTier      // lookup order: pk (when attached), then sink
 	gate    *par.Gate
 	workers int
 	metrics *Metrics  // nil = unobserved
@@ -110,24 +114,20 @@ type Engine struct {
 	stop      context.CancelFunc
 	closeOnce sync.Once
 
-	mu           sync.Mutex
-	stepMemos    map[int]fixpoint.Memo          // memory mode: budget → step memo
-	halves       map[string]*core.Problem       // half-step cache (no store record kind)
-	trajCache    map[string]*fixpoint.Result    // memory mode: trajectory warm cache
-	verdictCache map[store.VerdictParams][]byte // memory mode: rendered verdict warm cache
-	flight       map[string]*call
+	mu     sync.Mutex // guards flight and failure-memo creation
+	flight map[string]*call
 
-	// failMemos maps a budget to its memo of state-budget failures.
-	// Unlike stepMemos it exists in every store mode: failures have no
-	// record kind. Both maps hold at most maxBudgetMemos budgets.
-	failMemos map[int]*fixpoint.IsoFailureMemo
+	// halves caches half steps in every store mode: they have no record
+	// kind. Keyed by stable key and budget.
+	halves *boundedMap[string, *core.Problem]
+
+	// failMemos maps a budget to its memo of state-budget failures, in
+	// every store mode: failures have no record kind either.
+	failMemos *boundedMap[int, *fixpoint.IsoFailureMemo]
 
 	// rendered memoizes complete fixpoint response bodies by exact raw
 	// request text — the hottest warm tier, consulted before parsing.
-	// Guarded by its own lock so rendered hits never contend with the
-	// flight table or the memory-mode caches.
-	renderedMu sync.RWMutex
-	rendered   map[renderedKey][]byte
+	rendered *boundedMap[renderedKey, []byte]
 
 	// stepHook, when non-nil, fires synchronously after each fixpoint
 	// trajectory entry is emitted. Test seam: shutdown tests use it to
@@ -138,17 +138,14 @@ type Engine struct {
 // New opens the store (when configured) and returns a ready engine.
 func New(cfg Config) (*Engine, error) {
 	e := &Engine{
-		workers:      cfg.Workers,
-		pk:           cfg.Pack,
-		gate:         par.NewGate(cfg.MaxInflight),
-		metrics:      cfg.Metrics,
-		stepMemos:    make(map[int]fixpoint.Memo),
-		failMemos:    make(map[int]*fixpoint.IsoFailureMemo),
-		halves:       make(map[string]*core.Problem),
-		trajCache:    make(map[string]*fixpoint.Result),
-		verdictCache: make(map[store.VerdictParams][]byte),
-		flight:       make(map[string]*call),
-		rendered:     make(map[renderedKey][]byte),
+		workers:   cfg.Workers,
+		pk:        cfg.Pack,
+		gate:      par.NewGate(cfg.MaxInflight),
+		metrics:   cfg.Metrics,
+		flight:    make(map[string]*call),
+		halves:    newBoundedMap[string, *core.Problem](maxMemRecords),
+		failMemos: newBoundedMap[int, *fixpoint.IsoFailureMemo](maxBudgetMemos),
+		rendered:  newBoundedMap[renderedKey, []byte](maxRenderedMemo),
 	}
 	e.metrics.observeGate(e.gate)
 	if cfg.Peers != nil {
@@ -163,14 +160,24 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.st = st
+		e.st, e.sink = st, st
+	} else {
+		e.sink = memRecords{
+			steps:    newBoundedMap[stepKey, *core.Problem](maxMemRecords),
+			verdicts: newBoundedMap[store.VerdictParams, []byte](maxMemRecords),
+		}
 	}
+	// A nil *PackReader in an interface is not nil: check before adding.
+	if e.pk != nil {
+		e.tiers = append(e.tiers, e.pk)
+	}
+	e.tiers = append(e.tiers, e.sink)
 	e.runCtx, e.stop = context.WithCancel(context.Background())
 	return e, nil
 }
 
-// Store returns the engine's persistent store handle, nil in
-// memory-only mode.
+// Store returns the engine's persistent store handle; nil in
+// memory-only mode, whose records stay in process (see the package doc).
 func (e *Engine) Store() *store.Store { return e.st }
 
 // Close cancels the engine's run context and releases the preloaded
@@ -208,48 +215,16 @@ func (e *Engine) coreOpts(maxStates int) []core.Option {
 	return opts
 }
 
-// stepMemo returns the budget-scoped speedup-step memo chain: the
-// preloaded pack first (when attached), then the store-backed tier or a
-// per-budget in-memory map, then — for a clustered engine — the step's
-// ring owner (peerStepMemo), each with outcome accounting when metrics
-// are attached. Stores always land in the local writable tier.
-func (e *Engine) stepMemo(maxStates int) fixpoint.Memo {
-	var m fixpoint.Memo
-	if e.st != nil {
-		m = storeStepMemo{e: e, maxStates: maxStates}
-	} else {
-		e.mu.Lock()
-		mm, ok := e.stepMemos[maxStates]
-		if !ok {
-			e.makeBudgetRoom(len(e.stepMemos))
-			mm = fixpoint.NewMapMemo()
-			e.stepMemos[maxStates] = mm
-		}
-		e.mu.Unlock()
-		m = mm
-		if e.metrics != nil {
-			m = observedMemo{inner: mm, metrics: e.metrics}
-		}
-	}
-	if e.peers != nil {
-		m = peerStepMemo{e: e, maxStates: maxStates, inner: m}
-	}
-	if e.pk != nil {
-		m = packStepMemo{e: e, maxStates: maxStates, inner: m}
-	}
-	return m
-}
-
 // failureMemo returns the budget-scoped memo of state-budget failures,
 // kept in process in every store mode, with hit/miss accounting when
-// metrics are attached.
+// metrics are attached. e.mu makes get-or-create atomic, so requests
+// racing on a new budget share one memo.
 func (e *Engine) failureMemo(maxStates int) fixpoint.FailureMemo {
 	e.mu.Lock()
-	fm, ok := e.failMemos[maxStates]
+	fm, ok := e.failMemos.get(maxStates)
 	if !ok {
-		e.makeBudgetRoom(len(e.failMemos))
 		fm = fixpoint.NewIsoFailureMemo()
-		e.failMemos[maxStates] = fm
+		e.failMemos.put(maxStates, fm)
 	}
 	e.mu.Unlock()
 	if e.metrics == nil {
@@ -258,90 +233,11 @@ func (e *Engine) failureMemo(maxStates int) fixpoint.FailureMemo {
 	return observedFailureMemo{inner: fm, metrics: e.metrics}
 }
 
-// maxBudgetMemos bounds the number of budgets that keep a memo in
-// stepMemos and in failMemos. Clients choose max_states freely up to
-// MaxRequestStates, so a client cycling budgets would otherwise grow
-// both maps without bound.
+// maxBudgetMemos bounds the number of budgets that keep a failure
+// memo. Clients choose max_states freely up to MaxRequestStates, so a
+// client cycling budgets would otherwise grow failMemos without bound.
+// Runs in flight keep the memos they already hold across a clear.
 const maxBudgetMemos = 64
-
-// makeBudgetRoom clears stepMemos and failMemos wholesale, like the
-// rendered memo, when a map holding n budgets is full; e.mu is held.
-// Runs in flight keep the memos they already hold.
-func (e *Engine) makeBudgetRoom(n int) {
-	if n >= maxBudgetMemos {
-		clear(e.stepMemos)
-		clear(e.failMemos)
-	}
-}
-
-// storeStepMemo adapts the store's budget-scoped step records to
-// fixpoint.Memo with corrupt-aware outcome accounting: a record that
-// fails validation (checksum, truncation, version) degrades to a miss
-// on the serve path — the step is recomputed byte-identically — and
-// surfaces only as a "corrupt" warm-lookup outcome.
-type storeStepMemo struct {
-	e         *Engine
-	maxStates int
-}
-
-// LookupStep counts the lookup outcome and degrades validation
-// failures to misses.
-func (m storeStepMemo) LookupStep(in *core.Problem) (*core.Problem, bool) {
-	out, ok, err := m.e.st.GetStep(in, m.maxStates)
-	m.e.metrics.warmLookup("step", warmOutcome(ok, err))
-	if !ok || err != nil {
-		return nil, false
-	}
-	return out, true
-}
-
-// StoreStep commits the step record; write failures are dropped (a
-// damaged store slows runs down, never fails them).
-func (m storeStepMemo) StoreStep(in, out *core.Problem) {
-	_ = m.e.st.PutStep(in, out, m.maxStates)
-}
-
-// packStepMemo consults the preloaded pack before the inner tier. Pack
-// hits never reach the inner memo; misses (including validation
-// failures, counted "corrupt") fall through. Stores bypass the
-// read-only pack entirely.
-type packStepMemo struct {
-	e         *Engine
-	maxStates int
-	inner     fixpoint.Memo
-}
-
-// LookupStep tries the pack, counts its outcome, and falls through to
-// the inner tier on anything but a hit.
-func (m packStepMemo) LookupStep(in *core.Problem) (*core.Problem, bool) {
-	out, ok, err := m.e.pk.GetStep(in, m.maxStates)
-	m.e.metrics.warmLookup("pack", warmOutcome(ok, err))
-	if ok {
-		return out, true
-	}
-	return m.inner.LookupStep(in)
-}
-
-// StoreStep delegates to the writable inner tier.
-func (m packStepMemo) StoreStep(in, out *core.Problem) { m.inner.StoreStep(in, out) }
-
-// observedMemo wraps a step memo with warm-tier hit/miss accounting.
-// Lookups and stores pass through untouched — observation can never
-// change what a memo returns.
-type observedMemo struct {
-	inner   fixpoint.Memo
-	metrics *Metrics
-}
-
-// LookupStep counts the lookup outcome and delegates.
-func (o observedMemo) LookupStep(in *core.Problem) (*core.Problem, bool) {
-	out, ok := o.inner.LookupStep(in)
-	o.metrics.warmLookup("step", warmOutcome(ok, nil))
-	return out, ok
-}
-
-// StoreStep delegates.
-func (o observedMemo) StoreStep(in, out *core.Problem) { o.inner.StoreStep(in, out) }
 
 // observedFailureMemo wraps a failure memo with warm-tier hit/miss
 // accounting under the "failure" tier.

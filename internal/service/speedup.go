@@ -85,7 +85,7 @@ func (e *Engine) computeSpeedup(p *core.Problem, half bool, steps, maxStates int
 		resp.Derived = []ProblemView{viewOf(out)}
 		return resp, nil
 	}
-	memo, failures := e.stepMemo(maxStates), e.failureMemo(maxStates)
+	memo, failures := stepMemo{e: e, maxStates: maxStates}, e.failureMemo(maxStates)
 	cur := p
 	for i := 0; i < steps; i++ {
 		next, hit := memo.LookupStep(cur)
@@ -117,12 +117,10 @@ func (e *Engine) computeSpeedup(p *core.Problem, half bool, steps, maxStates int
 // halfStep computes (or replays from the in-process cache) a
 // compact-renamed half step. Half steps have no persistent record kind
 // — the store keeps full-step normal forms only — so their warmth is
-// scoped to the process.
+// scoped to the process and bounded by maxMemRecords.
 func (e *Engine) halfStep(p *core.Problem, maxStates int) (*core.Problem, error) {
 	key := fmt.Sprintf("%s|max_states=%d", core.StableKey(p), maxStates)
-	e.mu.Lock()
-	out, ok := e.halves[key]
-	e.mu.Unlock()
+	out, ok := e.halves.get(key)
 	e.metrics.warmLookup("half", warmOutcome(ok, nil))
 	if ok {
 		return out, nil
@@ -139,8 +137,6 @@ func (e *Engine) halfStep(p *core.Problem, maxStates int) (*core.Problem, error)
 		return nil, err
 	}
 	out, _ = derived.RenameCompact()
-	e.mu.Lock()
-	e.halves[key] = out
-	e.mu.Unlock()
+	e.halves.put(key, out)
 	return out, nil
 }

@@ -111,7 +111,7 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*VerifyResponse
 	// cannot drift from the store-record identity the way a
 	// hand-written field list could.
 	key := fmt.Sprintf("verify|%s|%+v", core.StableKey(p), params)
-	body, ok := e.lookupVerdict(p, params)
+	body, ok := lookup(e, "verdict", recordTier.GetVerdict, p, params)
 	if ok {
 		return &VerifyResponse{Negative: negativeOf(body), Body: body}, nil
 	}
@@ -124,37 +124,8 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*VerifyResponse
 	return val.(*VerifyResponse), nil
 }
 
-// lookupVerdict consults the warm tiers for a rendered verdict — the
-// preloaded pack (when attached), then the persistent store or the
-// memory-mode cache — counting one outcome per tier consulted; lookup
-// failures degrade to a miss, validation failures count "corrupt". The
-// memory-mode cache is keyed by the VerdictParams value itself, the
-// same identity the store folds into its record key.
-func (e *Engine) lookupVerdict(p *core.Problem, params store.VerdictParams) ([]byte, bool) {
-	if e.pk != nil {
-		body, ok, err := e.pk.GetVerdict(p, params)
-		e.metrics.warmLookup("pack", warmOutcome(ok, err))
-		if ok {
-			return body, true
-		}
-	}
-	if e.st != nil {
-		body, ok, err := e.st.GetVerdict(p, params)
-		e.metrics.warmLookup("verdict", warmOutcome(ok, err))
-		if err != nil || !ok {
-			return nil, false
-		}
-		return body, true
-	}
-	e.mu.Lock()
-	body, ok := e.verdictCache[params]
-	e.mu.Unlock()
-	e.metrics.warmLookup("verdict", warmOutcome(ok, nil))
-	return body, ok
-}
-
 // computeVerdict runs the oracle under the admission gate and commits
-// the rendered verdict to the warm tier.
+// the rendered verdict to the sink.
 func (e *Engine) computeVerdict(p *core.Problem, params store.VerdictParams) (any, error) {
 	if err := e.enter(); err != nil {
 		return nil, err
@@ -195,13 +166,7 @@ func (e *Engine) computeVerdict(p *core.Problem, params store.VerdictParams) (an
 	if err != nil {
 		return nil, err
 	}
-	if e.st != nil {
-		_ = e.st.PutVerdict(p, params, body)
-	} else {
-		e.mu.Lock()
-		e.verdictCache[params] = body
-		e.mu.Unlock()
-	}
+	_ = e.sink.PutVerdict(p, params, body)
 	return &VerifyResponse{Negative: negativeOf(body), Body: body}, nil
 }
 

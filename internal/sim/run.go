@@ -27,9 +27,6 @@ type Solution struct {
 	Labels [][]core.Label
 }
 
-// LabelAt returns the output at node v's port.
-func (s *Solution) LabelAt(v, port int) core.Label { return s.Labels[v][port] }
-
 // Run executes alg on g with the given inputs and returns the outputs. It
 // builds each node's radius-t view and applies the algorithm's output
 // function — the canonical normal form of a t-round algorithm.

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/core"
-	"repro/internal/problems"
 )
 
 // Trit values: position c of a trit sequence encodes which of the outputs
@@ -213,10 +212,4 @@ func ProvenanceToTrit(k int, prov bitset.Set) (TritSeq, bool) {
 		}
 	}
 	return seq, true
-}
-
-// SuperweakProblem re-exports the catalog constructor for convenience of
-// the experiment harnesses.
-func SuperweakProblem(k, delta int) *core.Problem {
-	return problems.Superweak(k, delta)
 }
