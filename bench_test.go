@@ -900,8 +900,8 @@ func BenchmarkE15ObservedConcurrency(b *testing.B) {
 // variants answer the E14 flagship query through the full HTTP stack
 // with byte-identical bodies; warm-store replays the record from the
 // object tree (open + checksum per lookup), warm-pack replays it from
-// the mmapped artifact (one validation at open, rank/select index per
-// lookup). The delta against E14's warm-store is the preload tier's
+// the mmapped artifact (one validation at open, a binary search of the
+// key table per lookup). The delta against E14's warm-store is the preload tier's
 // latency and allocation win.
 func BenchmarkE16PreloadTier(b *testing.B) {
 	// Build the artifact once: prime a store cold, then pack it.

@@ -11,8 +11,9 @@ import (
 // transformation, enumerating power sets directly as in the paper's raw
 // definitions (Section 4.1, before simplification). They are exponential
 // and intended for cross-validation of the production implementations on
-// small instances (see the property tests), and for studying unsimplified
-// derived problems Π_{1/2} and Π_1.
+// small instances (TestStepsAgainstRawDefinitions runs them against
+// HalfStep and SecondHalfStep), and for studying unsimplified derived
+// problems Π_{1/2} and Π_1.
 
 const naiveAlphabetCap = 14
 

@@ -46,9 +46,17 @@ func (f StableFingerprint) String() string {
 // memoization key for their results: equal keys guarantee byte-identical
 // derived problems.
 func StableKey(p *Problem) StableFingerprint {
+	return StableKeyOf(p.CanonicalBytes())
+}
+
+// StableKeyOf returns the stable fingerprint of a problem given its
+// CanonicalBytes: StableKeyOf(p.CanonicalBytes()) == StableKey(p).
+// Callers that need the serialization anyway pass it here instead of
+// serializing the problem twice.
+func StableKeyOf(canonical []byte) StableFingerprint {
 	h := sha256.New()
 	fmt.Fprintf(h, "repro-stable-fp v%d\x00", FingerprintVersion)
-	h.Write(p.CanonicalBytes())
+	h.Write(canonical)
 	var out StableFingerprint
 	h.Sum(out[:0])
 	return out

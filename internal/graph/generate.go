@@ -204,20 +204,6 @@ func tryConfigurationModel(n, delta int, rng *rand.Rand) (*Graph, bool) {
 	return b.Build(), true
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // RandomRegularHighGirth samples Δ-regular graphs until one with girth at
 // least minGirth is found. High-girth regular graphs exist for
 // n ≥ some function of (Δ, girth) (the paper cites Bollobás, Extremal

@@ -277,10 +277,3 @@ func mustProblem(alpha *core.Alphabet, edge, node core.Constraint) *core.Problem
 	}
 	return p
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -36,13 +36,14 @@ type ProblemView struct {
 // function of its inputs.
 func viewOf(p *core.Problem) ProblemView {
 	s := p.Stats()
+	canonical := p.CanonicalBytes()
 	return ProblemView{
-		Key:         core.StableKey(p).String(),
+		Key:         core.StableKeyOf(canonical).String(),
 		Delta:       s.Delta,
 		Labels:      s.Labels,
 		EdgeConfigs: s.EdgeConfigs,
 		NodeConfigs: s.NodeConfigs,
-		Canonical:   string(p.CanonicalBytes()),
+		Canonical:   string(canonical),
 	}
 }
 

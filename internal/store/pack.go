@@ -2,22 +2,23 @@ package store
 
 // This file is the pack writer: the store's distributable warm-cache
 // artifact. A pack is one read-optimized binary file holding every
-// validated record of a store directory — all keys in a sorted
-// succinct trie (rank/select bitmaps over the key bytes), all payloads
-// in one append-only data section addressed by offset/length — behind
-// a versioned header and a whole-file SHA-256 checksum. Store.Pack
+// validated record of a store directory — all keys in one sorted
+// table of fixed-length entries that lookups binary-search, all
+// payloads in one data section addressed by offset/length — behind a
+// versioned header and a whole-file SHA-256 checksum. Store.Pack
 // writes one; OpenPack (packreader.go) serves it read-only,
 // mmap-backed where available.
 //
 // On disk (all integers big-endian):
 //
 //	magic "PODC19PK" · u32 PackFormatVersion · u32 FingerprintVersion
-//	u64 entry count · u64 leaves words · u64 label-bitmap words
-//	u64 labels bytes · u64 data bytes
-//	leaves bitmap · label bitmap · labels
+//	u64 entry count · u64 data bytes
+//	key table (count × packKeyLen bytes, strictly increasing)
 //	entry table (count × u64 offset, u64 length)
 //	data section (payloads back to back, sorted-key order)
 //	SHA-256 over everything preceding it
+//
+// The key and entry tables take their lengths from the entry count.
 //
 // The format is deterministic: entries are sorted by key and every
 // section is a pure function of the record set, so packing the same
@@ -36,10 +37,10 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 )
@@ -53,24 +54,24 @@ import (
 // pack would still parse, but serving it would silently miss the
 // rendered tier on every query, so the version gate turns "stale
 // artifact" into an explicit rebuild signal instead of a quiet
-// performance regression.
-const PackFormatVersion = 2
+// performance regression. Version 3 replaced the succinct trie index
+// (level-order labels plus rank/select bitmaps) with the sorted key
+// table: keys are a kind byte plus a SHA-256, which share no prefixes
+// for a trie to save, so the flat table is smaller (33 bytes per key
+// against ~43) and a binary search beats a 33-level walk.
+const PackFormatVersion = 3
 
 // packMagic opens every pack file. Eight bytes, fixed; distinct from
 // the per-record magic so a pack can never be mistaken for a record.
 const packMagic = "PODC19PK"
 
 // packHeaderSize is magic + pack version + fingerprint version + entry
-// count + the four section lengths (leaves words, label-bitmap words,
-// labels bytes, data bytes). The entry-table length is derived
-// (16 bytes per entry).
-const packHeaderSize = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8
+// count + data-section length.
+const packHeaderSize = 8 + 4 + 4 + 8 + 8
 
-// packKeyLen is the fixed trie key length: one kind byte followed by
-// the 32-byte stable record key. Fixed-length keys are load-bearing:
-// they put every trie leaf at the same depth, which is what makes the
-// breadth-first leaf rank equal the sorted key order (the entry-table
-// index). newSuccinctSet enforces it.
+// packKeyLen is the fixed key-table entry length: one kind byte
+// followed by the 32-byte stable record key. Key i of the table is the
+// key of entry i of the entry table.
 const packKeyLen = 1 + 32
 
 // packEntrySize is one entry-table slot: big-endian offset and length
@@ -112,20 +113,12 @@ func (s *Store) Pack(path string) (PackStats, error) {
 			return nil
 		}
 		name := d.Name()
-		var kind Kind
-		switch filepath.Ext(name) {
-		case ".step":
-			kind = KindStep
-		case ".traj":
-			kind = KindTrajectory
-		case ".verdict":
-			kind = KindVerdict
-		case ".rendered":
-			kind = KindRendered
-		default:
+		ext := filepath.Ext(name)
+		kind, ok := KindByExt(strings.TrimPrefix(ext, "."))
+		if !ok {
 			return nil // temp files and foreign files are not records
 		}
-		keyBytes, herr := hex.DecodeString(name[:len(name)-len(filepath.Ext(name))])
+		keyBytes, herr := hex.DecodeString(strings.TrimSuffix(name, ext))
 		if herr != nil || len(keyBytes) != 32 {
 			return nil
 		}
@@ -157,26 +150,34 @@ func (s *Store) Pack(path string) (PackStats, error) {
 
 // writePackFile serializes sorted entries into the pack format and
 // commits the file atomically and durably. The whole-file checksum is
-// computed while streaming, so the pack never needs to be assembled in
+// computed while streaming, so the payloads are never assembled into
 // one buffer.
 func writePackFile(path string, entries []packEntry) error {
-	keys := make([][]byte, len(entries))
-	for i, e := range entries {
-		keys[i] = e.key
-	}
-	ss, err := newSuccinctSet(keys)
-	if err != nil {
-		return err
-	}
-	// The entry table is addressed by the trie's leaf rank; verify at
-	// build time that it equals the sorted order the entries were
-	// written in, so a reader lookup can never land on the wrong
-	// payload.
-	for i, key := range keys {
-		idx, ok := ss.index(key)
-		if !ok || idx != i {
-			return fmt.Errorf("pack index self-check failed at key %d", i)
+	// Lookups binary-search the key table, and OpenPack refuses a table
+	// that is not strictly increasing: refuse to write one.
+	for i := 1; i < len(entries); i++ {
+		if bytes.Compare(entries[i-1].key, entries[i].key) >= 0 {
+			return fmt.Errorf("pack keys not sorted and unique at %d", i)
 		}
+	}
+	var dataLen uint64
+	for _, e := range entries {
+		dataLen += uint64(len(e.payload))
+	}
+	index := make([]byte, 0, packHeaderSize+len(entries)*(packKeyLen+packEntrySize))
+	index = append(index, packMagic...)
+	index = binary.BigEndian.AppendUint32(index, PackFormatVersion)
+	index = binary.BigEndian.AppendUint32(index, uint32(core.FingerprintVersion))
+	index = binary.BigEndian.AppendUint64(index, uint64(len(entries)))
+	index = binary.BigEndian.AppendUint64(index, dataLen)
+	for _, e := range entries {
+		index = append(index, e.key...)
+	}
+	var off uint64
+	for _, e := range entries {
+		index = binary.BigEndian.AppendUint64(index, off)
+		index = binary.BigEndian.AppendUint64(index, uint64(len(e.payload)))
+		off += uint64(len(e.payload))
 	}
 
 	dir := filepath.Dir(path)
@@ -190,73 +191,16 @@ func writePackFile(path string, entries []packEntry) error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-
-	var dataLen uint64
-	for _, e := range entries {
-		dataLen += uint64(len(e.payload))
-	}
-	h := sha256.New()
-	bw := bufio.NewWriter(tmp)
-	w := io.MultiWriter(bw, h)
-
-	var scratch [8]byte
-	putU32 := func(v uint32) error {
-		binary.BigEndian.PutUint32(scratch[:4], v)
-		_, err := w.Write(scratch[:4])
-		return err
-	}
-	putU64 := func(v uint64) error {
-		binary.BigEndian.PutUint64(scratch[:], v)
-		_, err := w.Write(scratch[:])
-		return err
-	}
 	fail := func(err error) error {
 		tmp.Close()
 		return err
 	}
 
-	if _, err := io.WriteString(w, packMagic); err != nil {
+	h := sha256.New()
+	bw := bufio.NewWriter(tmp)
+	w := io.MultiWriter(bw, h)
+	if _, err := w.Write(index); err != nil {
 		return fail(err)
-	}
-	if err := putU32(PackFormatVersion); err != nil {
-		return fail(err)
-	}
-	if err := putU32(uint32(core.FingerprintVersion)); err != nil {
-		return fail(err)
-	}
-	for _, v := range []uint64{
-		uint64(len(entries)),
-		uint64(len(ss.leaves)),
-		uint64(len(ss.labelBitmap)),
-		uint64(len(ss.labels)),
-		dataLen,
-	} {
-		if err := putU64(v); err != nil {
-			return fail(err)
-		}
-	}
-	for _, word := range ss.leaves {
-		if err := putU64(word); err != nil {
-			return fail(err)
-		}
-	}
-	for _, word := range ss.labelBitmap {
-		if err := putU64(word); err != nil {
-			return fail(err)
-		}
-	}
-	if _, err := w.Write(ss.labels); err != nil {
-		return fail(err)
-	}
-	var off uint64
-	for _, e := range entries {
-		if err := putU64(off); err != nil {
-			return fail(err)
-		}
-		if err := putU64(uint64(len(e.payload))); err != nil {
-			return fail(err)
-		}
-		off += uint64(len(e.payload))
 	}
 	for _, e := range entries {
 		if _, err := w.Write(e.payload); err != nil {
@@ -272,190 +216,4 @@ func writePackFile(path string, entries []packEntry) error {
 		return fail(err)
 	}
 	return commitTemp(tmp, path)
-}
-
-// succinctSet is a static trie over a sorted set of equal-length byte
-// keys, stored as the classic succinct level-order encoding: labels
-// holds every edge byte, labelBitmap marks node boundaries (a 0 bit per
-// outgoing edge, a 1 bit terminating each node's edge list), and leaves
-// marks terminal nodes. ranks/leafRanks are the per-word popcount
-// prefix sums that make rank queries O(1); select is answered by binary
-// search over ranks. Membership additionally yields the key's position
-// in sorted order, which is the pack's entry-table index.
-type succinctSet struct {
-	leaves      []uint64
-	labelBitmap []uint64
-	labels      []byte
-	ranks       []int32 // prefix popcounts of labelBitmap words
-	leafRanks   []int32 // prefix popcounts of leaves words
-}
-
-// newSuccinctSet builds the trie from keys, which must be sorted,
-// unique, and all of length packKeyLen — the fixed length is what makes
-// the breadth-first leaf rank coincide with sorted order.
-func newSuccinctSet(keys [][]byte) (*succinctSet, error) {
-	for i, key := range keys {
-		if len(key) != packKeyLen {
-			return nil, fmt.Errorf("pack key %d has length %d, want %d", i, len(key), packKeyLen)
-		}
-		if i > 0 && bytes.Compare(keys[i-1], key) >= 0 {
-			return nil, fmt.Errorf("pack keys not sorted and unique at %d", i)
-		}
-	}
-	ss := &succinctSet{}
-	lIdx := 0
-	type queueElt struct{ s, e, col int }
-	queue := []queueElt{{0, len(keys), 0}}
-	for i := 0; i < len(queue); i++ {
-		elt := queue[i]
-		if elt.s < elt.e && elt.col == len(keys[elt.s]) {
-			elt.s++
-			setBit(&ss.leaves, i)
-		}
-		for j := elt.s; j < elt.e; {
-			frm := j
-			for ; j < elt.e && keys[j][elt.col] == keys[frm][elt.col]; j++ {
-			}
-			queue = append(queue, queueElt{frm, j, elt.col + 1})
-			ss.labels = append(ss.labels, keys[frm][elt.col])
-			lIdx++ // a 0 bit per edge: just advance
-		}
-		setBit(&ss.labelBitmap, lIdx) // the 1 bit terminating node i
-		lIdx++
-	}
-	growTo(&ss.labelBitmap, lIdx)
-	growTo(&ss.leaves, len(queue))
-	ss.buildRanks()
-	return ss, nil
-}
-
-// buildRanks (re)computes the rank prefix sums from the bitmap words.
-func (ss *succinctSet) buildRanks() {
-	ss.ranks = prefixPopcounts(ss.labelBitmap)
-	ss.leafRanks = prefixPopcounts(ss.leaves)
-}
-
-// index reports whether key is in the set and, if so, its position in
-// the sorted key order.
-func (ss *succinctSet) index(key []byte) (int, bool) {
-	nodeID, bmIdx := 0, 0
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		for ; ; bmIdx++ {
-			if getBit(ss.labelBitmap, bmIdx) {
-				return 0, false // node's edges exhausted: no edge for c
-			}
-			if ss.labels[bmIdx-nodeID] == c {
-				break
-			}
-		}
-		// Follow the edge: the child's id is the number of edges (0
-		// bits) up to and including this one; its edge list starts just
-		// past the terminator of node child-1.
-		nodeID = countZeros(ss.labelBitmap, ss.ranks, bmIdx+1)
-		bmIdx = selectIthOne(ss.labelBitmap, ss.ranks, nodeID-1) + 1
-	}
-	if !getBit(ss.leaves, nodeID) {
-		return 0, false
-	}
-	return rank1(ss.leaves, ss.leafRanks, nodeID), true
-}
-
-// walk visits every key in sorted order. The callback's key slice is
-// reused between calls — callers must copy what they keep.
-func (ss *succinctSet) walk(fn func(key []byte) error) error {
-	var key []byte
-	var rec func(nodeID int) error
-	rec = func(nodeID int) error {
-		if getBit(ss.leaves, nodeID) {
-			if err := fn(key); err != nil {
-				return err
-			}
-		}
-		bmIdx := 0
-		if nodeID > 0 {
-			bmIdx = selectIthOne(ss.labelBitmap, ss.ranks, nodeID-1) + 1
-		}
-		for ; !getBit(ss.labelBitmap, bmIdx); bmIdx++ {
-			child := countZeros(ss.labelBitmap, ss.ranks, bmIdx+1)
-			key = append(key, ss.labels[bmIdx-nodeID])
-			if err := rec(child); err != nil {
-				return err
-			}
-			key = key[:len(key)-1]
-		}
-		return nil
-	}
-	return rec(0)
-}
-
-// setBit sets bit i, growing the word slice as needed.
-func setBit(bm *[]uint64, i int) {
-	for i>>6 >= len(*bm) {
-		*bm = append(*bm, 0)
-	}
-	(*bm)[i>>6] |= uint64(1) << uint(i&63)
-}
-
-// growTo ensures the word slice covers n bits (so serialized sizes are
-// a pure function of the bit counts, not of which bits happen to be
-// set).
-func growTo(bm *[]uint64, n int) {
-	words := (n + 63) >> 6
-	for len(*bm) < words {
-		*bm = append(*bm, 0)
-	}
-}
-
-// getBit reports bit i. Out-of-range bits read as 0.
-func getBit(bm []uint64, i int) bool {
-	if i>>6 >= len(bm) {
-		return false
-	}
-	return bm[i>>6]&(uint64(1)<<uint(i&63)) != 0
-}
-
-// prefixPopcounts returns r with r[i] = popcount(words[:i]) — one extra
-// trailing element, so r[len(words)] is the total.
-func prefixPopcounts(words []uint64) []int32 {
-	r := make([]int32, len(words)+1)
-	for i, w := range words {
-		r[i+1] = r[i] + int32(bits.OnesCount64(w))
-	}
-	return r
-}
-
-// rank1 counts the 1 bits in bm[0:i).
-func rank1(bm []uint64, ranks []int32, i int) int {
-	w, b := i>>6, uint(i&63)
-	r := int(ranks[w])
-	if b != 0 {
-		r += bits.OnesCount64(bm[w] & (uint64(1)<<b - 1))
-	}
-	return r
-}
-
-// countZeros counts the 0 bits in bm[0:i).
-func countZeros(bm []uint64, ranks []int32, i int) int {
-	return i - rank1(bm, ranks, i)
-}
-
-// selectIthOne returns the position of the i-th (0-based) 1 bit:
-// binary-search the word via the rank prefix sums, then strip set bits
-// inside it. i must index an existing 1 bit.
-func selectIthOne(bm []uint64, ranks []int32, i int) int {
-	lo, hi := 0, len(bm)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(ranks[mid+1]) > i {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	w := bm[lo]
-	for rem := i - int(ranks[lo]); rem > 0; rem-- {
-		w &= w - 1
-	}
-	return lo<<6 + bits.TrailingZeros64(w)
 }

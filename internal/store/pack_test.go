@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,7 +26,7 @@ var packVerdictParams = VerdictParams{
 // populatePackStore fills s with a representative record mix — step
 // records (via the memo), trajectory checkpoints, and a rendered
 // verdict — and returns the problems it used.
-func populatePackStore(t *testing.T, s *Store) []*core.Problem {
+func populatePackStore(t testing.TB, s *Store) []*core.Problem {
 	t.Helper()
 	probs := []*core.Problem{
 		problems.SinklessColoring(3),
@@ -332,6 +331,111 @@ func TestPackCorruption(t *testing.T) {
 	})
 }
 
+// resealPack recomputes a pack image's SHA-256 trailer, so a mutated
+// image reaches the checks that follow the checksum.
+func resealPack(data []byte) []byte {
+	copy(data[len(data)-checksumSize:], shaOf(data[:len(data)-checksumSize]))
+	return data
+}
+
+// swapFirstKeys swaps keys 0 and 1 of a pack image's key table.
+func swapFirstKeys(data []byte) []byte {
+	k0 := data[packHeaderSize : packHeaderSize+packKeyLen]
+	k1 := data[packHeaderSize+packKeyLen : packHeaderSize+2*packKeyLen]
+	var tmp [packKeyLen]byte
+	copy(tmp[:], k0)
+	copy(k0, k1)
+	copy(k1, tmp[:])
+	return data
+}
+
+// TestPackRefusesStaleAndUnsortedPacks: OpenPack refuses a pack of the
+// previous format and a pack whose key table is not strictly increasing
+// (binary search would miss records in it), each resealed so that its
+// checksum holds.
+func TestPackRefusesStaleAndUnsortedPacks(t *testing.T) {
+	s := openTemp(t)
+	populatePackStore(t, s)
+	_, path := packOf(t, s)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := bytes.Clone(valid)
+	binary.BigEndian.PutUint32(stale[8:12], PackFormatVersion-1)
+	for name, tc := range map[string]struct {
+		data []byte
+		want error
+	}{
+		"previous format": {resealPack(stale), ErrVersionMismatch},
+		"unsorted keys":   {resealPack(swapFirstKeys(bytes.Clone(valid))), ErrTruncated},
+	} {
+		bad := filepath.Join(t.TempDir(), "bad.repack")
+		if err := os.WriteFile(bad, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenPack(bad); !errors.Is(err, tc.want) {
+			t.Errorf("%s: OpenPack = %v, want %v", name, err, tc.want)
+		}
+	}
+}
+
+// FuzzParsePack fuzzes the pack parser past its checksum: each input
+// gets the current magic and versions and a recomputed SHA-256 trailer
+// before parsing, so mutations reach the section geometry, the entry
+// bounds and the key-order check. parsePack must fail, or return a
+// reader whose Walk visits Len records that each look up to their own
+// payload; it must never panic.
+func FuzzParsePack(f *testing.F) {
+	s := openTemp(f)
+	populatePackStore(f, s)
+	path := filepath.Join(f.TempDir(), "seed.repack")
+	if _, err := s.Pack(path); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:packHeaderSize])
+	f.Add(swapFirstKeys(bytes.Clone(valid)))
+
+	type record struct {
+		kind    Kind
+		key     core.StableFingerprint
+		payload []byte
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		if len(data) >= packHeaderSize+checksumSize {
+			copy(data, packMagic)
+			binary.BigEndian.PutUint32(data[8:12], PackFormatVersion)
+			binary.BigEndian.PutUint32(data[12:16], uint32(core.FingerprintVersion))
+			resealPack(data)
+		}
+		pr, err := parsePack(data)
+		if err != nil {
+			return
+		}
+		var walked []record
+		if err := pr.Walk(func(kind Kind, key core.StableFingerprint, payload []byte) error {
+			walked = append(walked, record{kind, key, payload})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(walked) != pr.Len() {
+			t.Fatalf("walk visited %d of %d records", len(walked), pr.Len())
+		}
+		for i, r := range walked {
+			if got, ok := pr.lookup(r.kind, r.key); !ok || !bytes.Equal(got, r.payload) {
+				t.Fatalf("record %d does not look up to itself", i)
+			}
+		}
+	})
+}
+
 // TestPackSkipsCorruptRecords: a damaged record costs the artifact one
 // entry, never the whole pack.
 func TestPackSkipsCorruptRecords(t *testing.T) {
@@ -344,7 +448,7 @@ func TestPackSkipsCorruptRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := s.objectPath(KindStep, stepKey(in, 0))
+	victim := s.objectPath(KindStep, StepRecordKey(in, 0))
 	data, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
@@ -416,66 +520,6 @@ func TestPackReaderAtFallback(t *testing.T) {
 	defer pr.Close()
 	if _, ok, err := pr.GetTrajectory(probs[0], packParams); !ok || err != nil {
 		t.Fatalf("fallback lookup: ok=%v err=%v, want hit", ok, err)
-	}
-}
-
-// TestSuccinctSetIndex exercises the trie directly: every inserted key
-// maps to its sorted position, perturbed keys miss, and walk recovers
-// the exact sorted sequence.
-func TestSuccinctSetIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	seen := make(map[string]bool)
-	var keys [][]byte
-	for len(keys) < 500 {
-		key := make([]byte, packKeyLen)
-		// A narrow alphabet forces deep shared prefixes.
-		for i := range key {
-			key[i] = byte(rng.Intn(4))
-		}
-		if seen[string(key)] {
-			continue
-		}
-		seen[string(key)] = true
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
-	ss, err := newSuccinctSet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, key := range keys {
-		idx, ok := ss.index(key)
-		if !ok || idx != i {
-			t.Fatalf("index(keys[%d]) = (%d, %v), want (%d, true)", i, idx, ok, i)
-		}
-		// Perturb one byte out of the alphabet: guaranteed absent.
-		miss := append([]byte(nil), key...)
-		miss[rng.Intn(packKeyLen)] = 0xFF
-		if _, ok := ss.index(miss); ok {
-			t.Fatalf("index reported a perturbed key %d as present", i)
-		}
-	}
-	var walked [][]byte
-	if err := ss.walk(func(key []byte) error {
-		walked = append(walked, append([]byte(nil), key...))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(walked) != len(keys) {
-		t.Fatalf("walk visited %d of %d keys", len(walked), len(keys))
-	}
-	for i := range keys {
-		if !bytes.Equal(walked[i], keys[i]) {
-			t.Fatalf("walk order diverges at %d", i)
-		}
-	}
-	// Construction contract violations are rejected.
-	if _, err := newSuccinctSet([][]byte{{1, 2, 3}}); err == nil {
-		t.Fatal("newSuccinctSet accepted a short key")
-	}
-	if _, err := newSuccinctSet([][]byte{keys[1], keys[0]}); err == nil {
-		t.Fatal("newSuccinctSet accepted unsorted keys")
 	}
 }
 

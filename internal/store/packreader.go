@@ -2,12 +2,12 @@ package store
 
 // This file is the pack reader: the read-only, mmap-backed view of a
 // packed warm-cache artifact (see pack.go for the format). OpenPack
-// validates the whole file once — magic, versions, section geometry,
-// entry bounds, SHA-256 — so lookups afterwards never re-verify and
-// never fail, they only hit or miss. The reader mirrors the Store's
-// GetStep/GetTrajectory/GetVerdict API and shares its payload decoding,
-// which is what makes a pack-served reply byte-identical to a
-// JSON-store or cold reply for the same query.
+// validates the whole file once — magic, versions, SHA-256, section
+// geometry, entry bounds, key order — so lookups afterwards never
+// re-verify and never fail, they only hit or miss. The reader mirrors
+// the Store's GetStep/GetTrajectory/GetRendered/GetVerdict API and
+// shares its payload decoding, which is what makes a pack-served reply
+// byte-identical to a JSON-store or cold reply for the same query.
 
 import (
 	"bytes"
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -33,7 +34,7 @@ type PackReader struct {
 	closed bool
 
 	count    int
-	ss       *succinctSet
+	keys     []byte // key table, aliasing data
 	entries  []byte // entry table, aliasing data
 	payloads []byte // data section, aliasing data
 }
@@ -100,50 +101,48 @@ func parsePack(data []byte) (*PackReader, error) {
 		return nil, ErrChecksum
 	}
 	count := binary.BigEndian.Uint64(data[16:24])
-	leavesWords := binary.BigEndian.Uint64(data[24:32])
-	labelWords := binary.BigEndian.Uint64(data[32:40])
-	labelsLen := binary.BigEndian.Uint64(data[40:48])
-	dataLen := binary.BigEndian.Uint64(data[48:56])
+	dataLen := binary.BigEndian.Uint64(data[24:32])
 	body := uint64(len(data) - packHeaderSize - checksumSize)
 	// Each term is checked individually before the sum so a forged
 	// header cannot overflow it.
-	if leavesWords > body/8 || labelWords > body/8 || labelsLen > body ||
-		count > body/packEntrySize || dataLen > body {
+	if count > body/(packKeyLen+packEntrySize) || dataLen > body {
 		return nil, fmt.Errorf("%w: section sizes exceed the %d-byte body", ErrTruncated, body)
 	}
-	if need := leavesWords*8 + labelWords*8 + labelsLen + count*packEntrySize + dataLen; need != body {
+	if need := count*(packKeyLen+packEntrySize) + dataLen; need != body {
 		return nil, fmt.Errorf("%w: sections promise %d body bytes, file has %d", ErrTruncated, need, body)
 	}
-
 	off := uint64(packHeaderSize)
-	readWords := func(n uint64) []uint64 {
-		words := make([]uint64, n)
-		for i := range words {
-			words[i] = binary.BigEndian.Uint64(data[off:])
-			off += 8
-		}
-		return words
-	}
-	ss := &succinctSet{
-		leaves:      readWords(leavesWords),
-		labelBitmap: readWords(labelWords),
-	}
-	ss.labels = data[off : off+labelsLen]
-	off += labelsLen
-	ss.buildRanks()
+	keys := data[off : off+count*packKeyLen]
+	off += count * packKeyLen
 	entries := data[off : off+count*packEntrySize]
 	off += count * packEntrySize
-	payloads := data[off : off+dataLen]
+	pr := &PackReader{data: data, count: int(count), keys: keys, entries: entries, payloads: data[off : off+dataLen]}
 	// Bounds-check every entry once, so lookups can slice the data
-	// section without rechecking.
-	for i := uint64(0); i < count; i++ {
+	// section without rechecking, and check the key order binary search
+	// relies on.
+	for i := range pr.count {
 		o := binary.BigEndian.Uint64(entries[i*packEntrySize:])
 		l := binary.BigEndian.Uint64(entries[i*packEntrySize+8:])
 		if o+l < o || o+l > dataLen {
 			return nil, fmt.Errorf("%w: entry %d spans [%d, %d) of a %d-byte data section", ErrTruncated, i, o, o+l, dataLen)
 		}
+		if i > 0 && bytes.Compare(pr.key(i-1), pr.key(i)) >= 0 {
+			return nil, fmt.Errorf("%w: key %d does not sort after key %d", ErrTruncated, i, i-1)
+		}
 	}
-	return &PackReader{data: data, count: int(count), ss: ss, entries: entries, payloads: payloads}, nil
+	return pr, nil
+}
+
+// key returns key i of the key table.
+func (pr *PackReader) key(i int) []byte {
+	return pr.keys[i*packKeyLen : (i+1)*packKeyLen]
+}
+
+// payload returns payload i of the data section, aliasing the file.
+func (pr *PackReader) payload(i int) []byte {
+	off := binary.BigEndian.Uint64(pr.entries[i*packEntrySize:])
+	length := binary.BigEndian.Uint64(pr.entries[i*packEntrySize+8:])
+	return pr.payloads[off : off+length]
 }
 
 // Close releases the reader; with an mmap backing it unmaps the file.
@@ -177,35 +176,33 @@ func (pr *PackReader) lookup(kind Kind, key core.StableFingerprint) ([]byte, boo
 	var kb [packKeyLen]byte
 	kb[0] = byte(kind)
 	copy(kb[1:], key[:])
-	idx, ok := pr.ss.index(kb[:])
+	i, ok := sort.Find(pr.count, func(i int) int { return bytes.Compare(kb[:], pr.key(i)) })
 	if !ok {
 		return nil, false
 	}
-	off := binary.BigEndian.Uint64(pr.entries[idx*packEntrySize:])
-	length := binary.BigEndian.Uint64(pr.entries[idx*packEntrySize+8:])
-	out := make([]byte, length)
-	copy(out, pr.payloads[off:off+length])
-	return out, true
+	return bytes.Clone(pr.payload(i)), true
 }
 
 // GetStep mirrors Store.GetStep over the pack: the memoized speedup
 // step for the exact problem under the exact state budget, validated by
 // the same collision guard, absent records a miss.
 func (pr *PackReader) GetStep(in *core.Problem, maxStates int) (*core.Problem, bool, error) {
-	payload, ok := pr.lookup(KindStep, stepKey(in, maxStates))
+	canonical := in.CanonicalBytes()
+	payload, ok := pr.lookup(KindStep, stepKey(canonical, maxStates))
 	if !ok {
 		return nil, false, nil
 	}
-	return decodeStepPayload(payload, in, maxStates)
+	return decodeStepPayload(payload, canonical, maxStates)
 }
 
 // GetTrajectory mirrors Store.GetTrajectory over the pack.
 func (pr *PackReader) GetTrajectory(in *core.Problem, par TrajectoryParams) (*fixpoint.Result, bool, error) {
-	payload, ok := pr.lookup(KindTrajectory, subKey(core.StableKey(in), par.tag()))
+	canonical := in.CanonicalBytes()
+	payload, ok := pr.lookup(KindTrajectory, subKey(core.StableKeyOf(canonical), par.tag()))
 	if !ok {
 		return nil, false, nil
 	}
-	return decodeTrajectoryPayload(payload, in, par)
+	return decodeTrajectoryPayload(payload, canonical, par)
 }
 
 // GetRendered mirrors Store.GetRendered over the pack: the exact
@@ -213,20 +210,22 @@ func (pr *PackReader) GetTrajectory(in *core.Problem, par TrajectoryParams) (*fi
 // collision guard, so a pack-served body is byte-identical to a
 // store-served or freshly rendered one.
 func (pr *PackReader) GetRendered(in *core.Problem, par TrajectoryParams) ([]byte, bool, error) {
-	payload, ok := pr.lookup(KindRendered, subKey(core.StableKey(in), renderedTag(par)))
+	canonical := in.CanonicalBytes()
+	payload, ok := pr.lookup(KindRendered, subKey(core.StableKeyOf(canonical), renderedTag(par)))
 	if !ok {
 		return nil, false, nil
 	}
-	return decodeRenderedPayload(payload, in, par)
+	return decodeRenderedPayload(payload, canonical, par)
 }
 
 // GetVerdict mirrors Store.GetVerdict over the pack.
 func (pr *PackReader) GetVerdict(in *core.Problem, par VerdictParams) ([]byte, bool, error) {
-	payload, ok := pr.lookup(KindVerdict, subKey(core.StableKey(in), par.tag()))
+	canonical := in.CanonicalBytes()
+	payload, ok := pr.lookup(KindVerdict, subKey(core.StableKeyOf(canonical), par.tag()))
 	if !ok {
 		return nil, false, nil
 	}
-	return decodeVerdictPayload(payload, in, par)
+	return decodeVerdictPayload(payload, canonical, par)
 }
 
 // Walk visits every record in the pack in sorted key order. The payload
@@ -237,25 +236,13 @@ func (pr *PackReader) Walk(fn func(kind Kind, key core.StableFingerprint, payloa
 	if pr.closed {
 		return fmt.Errorf("store: walk on closed pack")
 	}
-	idx := 0
-	err := pr.ss.walk(func(kb []byte) error {
-		if len(kb) != packKeyLen {
-			return fmt.Errorf("store: pack key of length %d", len(kb))
-		}
+	for i := range pr.count {
+		kb := pr.key(i)
 		var key core.StableFingerprint
 		copy(key[:], kb[1:])
-		off := binary.BigEndian.Uint64(pr.entries[idx*packEntrySize:])
-		length := binary.BigEndian.Uint64(pr.entries[idx*packEntrySize+8:])
-		payload := make([]byte, length)
-		copy(payload, pr.payloads[off:off+length])
-		idx++
-		return fn(Kind(kb[0]), key, payload)
-	})
-	if err != nil {
-		return err
-	}
-	if idx != pr.count {
-		return fmt.Errorf("store: pack walk visited %d of %d records", idx, pr.count)
+		if err := fn(Kind(kb[0]), key, bytes.Clone(pr.payload(i))); err != nil {
+			return err
+		}
 	}
 	return nil
 }

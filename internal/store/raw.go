@@ -44,7 +44,7 @@ func KindByExt(ext string) (Kind, bool) {
 // for problem in under the given state budget — the same key PutStep
 // and GetStep use internally.
 func StepRecordKey(in *core.Problem, maxStates int) core.StableFingerprint {
-	return stepKey(in, maxStates)
+	return stepKey(in.CanonicalBytes(), maxStates)
 }
 
 // TrajectoryRecordKey derives the object key of the classified
@@ -108,7 +108,7 @@ func DecodeStepRecord(frame []byte, in *core.Problem, maxStates int) (*core.Prob
 	if err != nil {
 		return nil, false, err
 	}
-	return decodeStepPayload(payload, in, maxStates)
+	return decodeStepPayload(payload, in.CanonicalBytes(), maxStates)
 }
 
 // DecodeTrajectoryRecord validates a transported trajectory-record
@@ -119,7 +119,7 @@ func DecodeTrajectoryRecord(frame []byte, in *core.Problem, par TrajectoryParams
 	if err != nil {
 		return nil, false, err
 	}
-	return decodeTrajectoryPayload(payload, in, par)
+	return decodeTrajectoryPayload(payload, in.CanonicalBytes(), par)
 }
 
 // DecodeRenderedRecord validates a transported rendered-body frame
@@ -130,5 +130,5 @@ func DecodeRenderedRecord(frame []byte, in *core.Problem, par TrajectoryParams) 
 	if err != nil {
 		return nil, false, err
 	}
-	return decodeRenderedPayload(payload, in, par)
+	return decodeRenderedPayload(payload, in.CanonicalBytes(), par)
 }

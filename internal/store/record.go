@@ -73,7 +73,8 @@ var (
 	// the object's location.
 	ErrKindMismatch = errors.New("store: record kind mismatch")
 	// ErrTruncated: the file is shorter than its header promises (or
-	// carries trailing garbage).
+	// carries trailing garbage). A pack whose sections do not fit
+	// together, including a key table out of order, reports it too.
 	ErrTruncated = errors.New("store: truncated record")
 	// ErrChecksum: the SHA-256 trailer does not match the content.
 	ErrChecksum = errors.New("store: record checksum mismatch")

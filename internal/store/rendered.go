@@ -35,17 +35,18 @@ type renderedPayload struct {
 // makes the rendered tier indistinguishable from re-rendering. Commit
 // is atomic, like every record write.
 func (s *Store) PutRendered(in *core.Problem, par TrajectoryParams, body []byte) error {
+	canonical := in.CanonicalBytes()
 	payload, err := json.Marshal(renderedPayload{
 		FPVersion: core.FingerprintVersion,
 		MaxSteps:  par.MaxSteps,
 		MaxStates: par.MaxStates,
-		Input:     string(in.CanonicalBytes()),
+		Input:     string(canonical),
 		Body:      string(body),
 	})
 	if err != nil {
 		return fmt.Errorf("store: put rendered: %w", err)
 	}
-	return s.putRecord(KindRendered, subKey(core.StableKey(in), renderedTag(par)), payload)
+	return s.putRecord(KindRendered, subKey(core.StableKeyOf(canonical), renderedTag(par)), payload)
 }
 
 // GetRendered looks up the pre-rendered response body for the exact
@@ -54,24 +55,25 @@ func (s *Store) PutRendered(in *core.Problem, par TrajectoryParams, body []byte)
 // query are a miss — in both cases the caller degrades to re-rendering
 // from the trajectory record (or recomputing), never to a wrong body.
 func (s *Store) GetRendered(in *core.Problem, par TrajectoryParams) ([]byte, bool, error) {
-	data, ok, err := s.getRecord(KindRendered, subKey(core.StableKey(in), renderedTag(par)))
+	canonical := in.CanonicalBytes()
+	data, ok, err := s.getRecord(KindRendered, subKey(core.StableKeyOf(canonical), renderedTag(par)))
 	if !ok || err != nil {
 		return nil, false, err
 	}
-	return decodeRenderedPayload(data, in, par)
+	return decodeRenderedPayload(data, canonical, par)
 }
 
 // decodeRenderedPayload validates a rendered payload against the
-// queried problem and params. Shared by the JSON store and the pack
-// reader (see decodeStepPayload).
-func decodeRenderedPayload(data []byte, in *core.Problem, par TrajectoryParams) ([]byte, bool, error) {
+// queried problem, given by its canonical serialization, and params.
+// Shared by the JSON store and the pack reader (see decodeStepPayload).
+func decodeRenderedPayload(data, canonical []byte, par TrajectoryParams) ([]byte, bool, error) {
 	var payload renderedPayload
 	if err := json.Unmarshal(data, &payload); err != nil {
 		return nil, false, fmt.Errorf("store: get rendered: %w", err)
 	}
 	if payload.FPVersion != core.FingerprintVersion ||
 		payload.MaxSteps != par.MaxSteps || payload.MaxStates != par.MaxStates ||
-		payload.Input != string(in.CanonicalBytes()) {
+		payload.Input != string(canonical) {
 		return nil, false, nil
 	}
 	return []byte(payload.Body), true, nil

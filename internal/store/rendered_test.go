@@ -149,7 +149,7 @@ func FuzzRenderedRecord(f *testing.F) {
 		if err != nil {
 			return // fail-closed: the serve path counts it and re-renders
 		}
-		got, ok, err := decodeRenderedPayload(payload, in, par)
+		got, ok, err := decodeRenderedPayload(payload, in.CanonicalBytes(), par)
 		if err != nil || !ok {
 			return // fail-closed
 		}

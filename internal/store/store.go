@@ -107,14 +107,14 @@ type stepPayload struct {
 	Output    string `json:"output"`
 }
 
-// stepKey derives the step-record key: the input problem plus the
-// state budget the step ran under. The budget is part of the identity
+// stepKey derives the step-record key: the input problem (by its
+// canonical serialization) plus the state budget the step ran under. The budget is part of the identity
 // for the same reason it is in TrajectoryParams — a step computed
 // under a generous budget must not answer for a run whose tighter
 // budget would have exhausted mid-step, or a warm store would change
 // classifications relative to a cold run with identical flags.
-func stepKey(in *core.Problem, maxStates int) core.StableFingerprint {
-	return subKey(core.StableKey(in), fmt.Sprintf("|step|max_states=%d", maxStates))
+func stepKey(canonical []byte, maxStates int) core.StableFingerprint {
+	return subKey(core.StableKeyOf(canonical), fmt.Sprintf("|step|max_states=%d", maxStates))
 }
 
 // PutStep persists one memoized speedup step: in is the exact problem
@@ -124,16 +124,17 @@ func stepKey(in *core.Problem, maxStates int) core.StableFingerprint {
 // is committed atomically; it is safe to race with readers and other
 // writers.
 func (s *Store) PutStep(in, out *core.Problem, maxStates int) error {
+	canonical := in.CanonicalBytes()
 	payload, err := json.Marshal(stepPayload{
 		FPVersion: core.FingerprintVersion,
 		MaxStates: maxStates,
-		Input:     string(in.CanonicalBytes()),
+		Input:     string(canonical),
 		Output:    string(out.CanonicalBytes()),
 	})
 	if err != nil {
 		return fmt.Errorf("store: put step: %w", err)
 	}
-	return s.putRecord(KindStep, stepKey(in, maxStates), payload)
+	return s.putRecord(KindStep, stepKey(canonical, maxStates), payload)
 }
 
 // GetStep looks up the memoized speedup step for the exact problem in
@@ -142,24 +143,26 @@ func (s *Store) PutStep(in, out *core.Problem, maxStates int) error {
 // input or budget does not match the query (hash collision, foreign
 // file) is a miss.
 func (s *Store) GetStep(in *core.Problem, maxStates int) (*core.Problem, bool, error) {
-	payload, ok, err := s.getRecord(KindStep, stepKey(in, maxStates))
+	canonical := in.CanonicalBytes()
+	payload, ok, err := s.getRecord(KindStep, stepKey(canonical, maxStates))
 	if !ok || err != nil {
 		return nil, false, err
 	}
-	return decodeStepPayload(payload, in, maxStates)
+	return decodeStepPayload(payload, canonical, maxStates)
 }
 
 // decodeStepPayload validates a step payload against the queried
-// problem and budget. Shared by the JSON store and the pack reader, so
-// both tiers apply the identical collision guard and return identical
-// results for identical payload bytes.
-func decodeStepPayload(payload []byte, in *core.Problem, maxStates int) (*core.Problem, bool, error) {
+// problem, given by its canonical serialization, and budget. Shared by
+// the JSON store and the pack reader, so both tiers apply the identical
+// collision guard and return identical results for identical payload
+// bytes.
+func decodeStepPayload(payload, canonical []byte, maxStates int) (*core.Problem, bool, error) {
 	var rec stepPayload
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return nil, false, fmt.Errorf("store: get step: %w", err)
 	}
 	if rec.FPVersion != core.FingerprintVersion || rec.MaxStates != maxStates ||
-		rec.Input != string(in.CanonicalBytes()) {
+		rec.Input != string(canonical) {
 		return nil, false, nil
 	}
 	out, err := core.ParseCanonical([]byte(rec.Output))

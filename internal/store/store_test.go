@@ -15,7 +15,7 @@ func sinkless(t *testing.T) *core.Problem {
 	return core.MustParse("node:\n0^2 1\nedge:\n0 0\n0 1\n")
 }
 
-func openTemp(t *testing.T) *Store {
+func openTemp(t testing.TB) *Store {
 	t.Helper()
 	s, err := Open(t.TempDir())
 	if err != nil {

@@ -50,11 +50,12 @@ type trajectoryPayload struct {
 // the result byte-for-byte (problems, classification, witness, and —
 // for BudgetExceeded — the budget error message).
 func (s *Store) PutTrajectory(in *core.Problem, par TrajectoryParams, res *fixpoint.Result) error {
+	canonical := in.CanonicalBytes()
 	payload := trajectoryPayload{
 		FPVersion:  core.FingerprintVersion,
 		MaxSteps:   par.MaxSteps,
 		MaxStates:  par.MaxStates,
-		Input:      string(in.CanonicalBytes()),
+		Input:      string(canonical),
 		Kind:       int(res.Kind),
 		Steps:      res.Steps,
 		CycleStart: res.CycleStart,
@@ -75,7 +76,7 @@ func (s *Store) PutTrajectory(in *core.Problem, par TrajectoryParams, res *fixpo
 	if err != nil {
 		return fmt.Errorf("store: put trajectory: %w", err)
 	}
-	return s.putRecord(KindTrajectory, subKey(core.StableKey(in), par.tag()), data)
+	return s.putRecord(KindTrajectory, subKey(core.StableKeyOf(canonical), par.tag()), data)
 }
 
 // GetTrajectory looks up the classified fixpoint run for the exact
@@ -83,24 +84,25 @@ func (s *Store) PutTrajectory(in *core.Problem, par TrajectoryParams, res *fixpo
 // sentinel; records whose embedded input or params disagree with the
 // query are a miss.
 func (s *Store) GetTrajectory(in *core.Problem, par TrajectoryParams) (*fixpoint.Result, bool, error) {
-	data, ok, err := s.getRecord(KindTrajectory, subKey(core.StableKey(in), par.tag()))
+	canonical := in.CanonicalBytes()
+	data, ok, err := s.getRecord(KindTrajectory, subKey(core.StableKeyOf(canonical), par.tag()))
 	if !ok || err != nil {
 		return nil, false, err
 	}
-	return decodeTrajectoryPayload(data, in, par)
+	return decodeTrajectoryPayload(data, canonical, par)
 }
 
 // decodeTrajectoryPayload validates a trajectory payload against the
-// queried problem and params. Shared by the JSON store and the pack
-// reader (see decodeStepPayload).
-func decodeTrajectoryPayload(data []byte, in *core.Problem, par TrajectoryParams) (*fixpoint.Result, bool, error) {
+// queried problem, given by its canonical serialization, and params.
+// Shared by the JSON store and the pack reader (see decodeStepPayload).
+func decodeTrajectoryPayload(data, canonical []byte, par TrajectoryParams) (*fixpoint.Result, bool, error) {
 	var payload trajectoryPayload
 	if err := json.Unmarshal(data, &payload); err != nil {
 		return nil, false, fmt.Errorf("store: get trajectory: %w", err)
 	}
 	if payload.FPVersion != core.FingerprintVersion ||
 		payload.MaxSteps != par.MaxSteps || payload.MaxStates != par.MaxStates ||
-		payload.Input != string(in.CanonicalBytes()) {
+		payload.Input != string(canonical) {
 		return nil, false, nil
 	}
 	res := &fixpoint.Result{

@@ -59,6 +59,7 @@ type verdictPayload struct {
 // in under the exact params; result must be valid JSON (it is embedded
 // as a raw message). Commit is atomic, like every record write.
 func (s *Store) PutVerdict(in *core.Problem, par VerdictParams, result []byte) error {
+	canonical := in.CanonicalBytes()
 	payload, err := json.Marshal(verdictPayload{
 		FPVersion:   core.FingerprintVersion,
 		Problem:     par.Problem,
@@ -68,13 +69,13 @@ func (s *Store) PutVerdict(in *core.Problem, par VerdictParams, result []byte) e
 		Seed:        par.Seed,
 		Relaxed:     par.Relaxed,
 		Conformance: par.Conformance,
-		Input:       string(in.CanonicalBytes()),
+		Input:       string(canonical),
 		Result:      json.RawMessage(result),
 	})
 	if err != nil {
 		return fmt.Errorf("store: put verdict: %w", err)
 	}
-	return s.putRecord(KindVerdict, subKey(core.StableKey(in), par.tag()), payload)
+	return s.putRecord(KindVerdict, subKey(core.StableKeyOf(canonical), par.tag()), payload)
 }
 
 // GetVerdict looks up the rendered oracle verdict for the exact problem
@@ -82,17 +83,18 @@ func (s *Store) PutVerdict(in *core.Problem, par VerdictParams, result []byte) e
 // records whose embedded input or params disagree with the query are a
 // miss.
 func (s *Store) GetVerdict(in *core.Problem, par VerdictParams) ([]byte, bool, error) {
-	data, ok, err := s.getRecord(KindVerdict, subKey(core.StableKey(in), par.tag()))
+	canonical := in.CanonicalBytes()
+	data, ok, err := s.getRecord(KindVerdict, subKey(core.StableKeyOf(canonical), par.tag()))
 	if !ok || err != nil {
 		return nil, false, err
 	}
-	return decodeVerdictPayload(data, in, par)
+	return decodeVerdictPayload(data, canonical, par)
 }
 
 // decodeVerdictPayload validates a verdict payload against the queried
-// problem and params. Shared by the JSON store and the pack reader (see
-// decodeStepPayload).
-func decodeVerdictPayload(data []byte, in *core.Problem, par VerdictParams) ([]byte, bool, error) {
+// problem, given by its canonical serialization, and params. Shared by
+// the JSON store and the pack reader (see decodeStepPayload).
+func decodeVerdictPayload(data, canonical []byte, par VerdictParams) ([]byte, bool, error) {
 	var payload verdictPayload
 	if err := json.Unmarshal(data, &payload); err != nil {
 		return nil, false, fmt.Errorf("store: get verdict: %w", err)
@@ -102,7 +104,7 @@ func decodeVerdictPayload(data []byte, in *core.Problem, par VerdictParams) ([]b
 		payload.MaxN != par.MaxN || payload.Family != par.Family ||
 		payload.Seed != par.Seed || payload.Relaxed != par.Relaxed ||
 		payload.Conformance != par.Conformance ||
-		payload.Input != string(in.CanonicalBytes()) {
+		payload.Input != string(canonical) {
 		return nil, false, nil
 	}
 	return []byte(payload.Result), true, nil
