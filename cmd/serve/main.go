@@ -88,7 +88,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,34 +100,14 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8089", "listen address")
-	storeDir := flag.String("store", "", "persistent result store directory (empty = memory-only warmth: rendered bodies, steps and verdicts in bounded in-process maps)")
-	preload := flag.String("preload", "", "packed warm-cache artifact preloaded as a read-only tier (from sweep -pack)")
-	workers := flag.Int("workers", 0, "worker count inside each engine computation (0 = GOMAXPROCS)")
-	maxInflight := flag.Int("max-inflight", 0, "max concurrent engine computations admitted (0 = GOMAXPROCS)")
 	grace := flag.Duration("grace", 15*time.Second, "shutdown grace period for in-flight requests")
-	requestTimeout := flag.Duration("request-timeout", 0, "per-request wall-clock budget (0 = unbounded)")
-	peers := flag.String("peers", "", "comma-separated cluster member list, this node included (empty = solo)")
-	advertise := flag.String("advertise", "", "this node's own entry in -peers (required with -peers)")
-	peerTimeout := flag.Duration("peer-timeout", 0, "per-peer record fetch budget (0 = the cluster default)")
-	pprofAddr := flag.String("pprof", "", "net/http/pprof listen address on a separate listener (empty = disabled)")
 	configPath := flag.String("config", "", "flags file overriding the flags above, reloaded on SIGHUP")
-	verbose := flag.Bool("v", false, "request logging on stderr")
+	var base settings
+	base.register(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "serve: unexpected argument %q\n", flag.Arg(0))
 		os.Exit(2)
-	}
-	base := settings{
-		Store:          *storeDir,
-		Preload:        *preload,
-		Workers:        *workers,
-		MaxInflight:    *maxInflight,
-		RequestTimeout: *requestTimeout,
-		Peers:          *peers,
-		Advertise:      *advertise,
-		PeerTimeout:    *peerTimeout,
-		Pprof:          *pprofAddr,
-		Verbose:        *verbose,
 	}
 	if err := run(*addr, *configPath, base, *grace); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
@@ -172,21 +151,41 @@ type settings struct {
 	Verbose bool
 }
 
+// register defines the reloadable flags on fs, each bound to its field
+// of s with the field's current value as its default. main registers
+// them on the command line; loadConfig registers them on a fresh set
+// over a copy of the command-line values and applies the file through
+// it, so a flag and its config-file key cannot drift apart.
+func (s *settings) register(fs *flag.FlagSet) {
+	fs.StringVar(&s.Store, "store", s.Store, "persistent result store directory (empty = memory-only warmth: rendered bodies, steps and verdicts in bounded in-process maps)")
+	fs.StringVar(&s.Preload, "preload", s.Preload, "packed warm-cache artifact preloaded as a read-only tier (from sweep -pack)")
+	fs.IntVar(&s.Workers, "workers", s.Workers, "worker count inside each engine computation (0 = GOMAXPROCS)")
+	fs.IntVar(&s.MaxInflight, "max-inflight", s.MaxInflight, "max concurrent engine computations admitted (0 = GOMAXPROCS)")
+	fs.DurationVar(&s.RequestTimeout, "request-timeout", s.RequestTimeout, "per-request wall-clock budget (0 = unbounded)")
+	fs.StringVar(&s.Peers, "peers", s.Peers, "comma-separated cluster member list, this node included (empty = solo)")
+	fs.StringVar(&s.Advertise, "advertise", s.Advertise, "this node's own entry in -peers (required with -peers)")
+	fs.DurationVar(&s.PeerTimeout, "peer-timeout", s.PeerTimeout, "per-peer record fetch budget (0 = the cluster default)")
+	fs.StringVar(&s.Pprof, "pprof", s.Pprof, "net/http/pprof listen address on a separate listener (empty = disabled)")
+	fs.BoolVar(&s.Verbose, "v", s.Verbose, "request logging on stderr")
+}
+
 // loadConfig overlays the flags file at path onto base (the
 // command-line flag values) and returns the merged settings. The
 // format is one "key value" pair per line; blank lines and #-comments
-// are ignored. Keys mirror the reloadable flags: store, preload,
-// workers, max-inflight, request-timeout, peers, advertise,
-// peer-timeout, pprof, v (or verbose). A key absent from the file
-// keeps its flag value, so deleting a line and SIGHUPing reverts that
-// setting. Unknown keys and unparsable values fail the whole
-// load — a reload never applies half a file.
+// are ignored. Keys are the reloadable flags' names (see register),
+// with verbose accepted for v, and values parse as they do on the
+// command line. A key absent from the file keeps its flag value, so
+// deleting a line and SIGHUPing reverts that setting. Unknown keys and
+// unparsable values fail the whole load — a reload never applies half
+// a file.
 func loadConfig(path string, base settings) (settings, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return settings{}, err
 	}
 	s := base
+	fs := flag.NewFlagSet(path, flag.ContinueOnError)
+	s.register(fs)
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -194,33 +193,16 @@ func loadConfig(path string, base settings) (settings, error) {
 		}
 		key, val, _ := strings.Cut(line, " ")
 		val = strings.TrimSpace(val)
-		var perr error
-		switch key {
-		case "store":
-			s.Store = val
-		case "preload":
-			s.Preload = val
-		case "workers":
-			s.Workers, perr = strconv.Atoi(val)
-		case "max-inflight":
-			s.MaxInflight, perr = strconv.Atoi(val)
-		case "request-timeout":
-			s.RequestTimeout, perr = time.ParseDuration(val)
-		case "peers":
-			s.Peers = val
-		case "advertise":
-			s.Advertise = val
-		case "peer-timeout":
-			s.PeerTimeout, perr = time.ParseDuration(val)
-		case "pprof":
-			s.Pprof = val
-		case "v", "verbose":
-			s.Verbose, perr = strconv.ParseBool(val)
-		default:
+		name := key
+		if name == "verbose" {
+			name = "v"
+		}
+		f := fs.Lookup(name)
+		if f == nil {
 			return settings{}, fmt.Errorf("%s:%d: unknown key %q", path, i+1, key)
 		}
-		if perr != nil {
-			return settings{}, fmt.Errorf("%s:%d: %s: %v", path, i+1, key, perr)
+		if err := f.Value.Set(val); err != nil {
+			return settings{}, fmt.Errorf("%s:%d: %s: invalid value %q: %v", path, i+1, key, val, err)
 		}
 	}
 	return s, nil

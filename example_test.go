@@ -16,6 +16,7 @@ import (
 	"repro/internal/independence"
 	"repro/internal/mathx"
 	"repro/internal/problems"
+	"repro/internal/problems/gen"
 	"repro/internal/sim"
 	"repro/internal/superweak"
 	"repro/internal/synth"
@@ -290,17 +291,13 @@ func Example_u1() {
 // solvable iff Π'_1 is 0-round solvable (Δ=2, orientation input).
 func Example_u2() {
 	fmt.Println("== U2: Theorem 1 mechanized at t = 1 (Δ=2, orientation input) ==")
-	rng := rand.New(rand.NewSource(7))
-	agree, total := 0, 0
-	for iter := 0; iter < 500 && total < 150; iter++ {
-		p := randomProblem(rng, 2+rng.Intn(2), 0.5)
-		if p.Edge.Size() == 0 || p.Node.Size() == 0 {
-			continue
-		}
+	const total = 150
+	agree := 0
+	for i := range total {
+		p := must(gen.Random(7, i, gen.Params{Delta: 2, Labels: 2 + i%2, EdgePct: 50, NodePct: 50}))
 		derived := must(core.Speedup(p))
 		oneRound := must(synth.OneRoundOrientedSolvable(p))
 		_, zeroRound := core.ZeroRoundSolvableWithOrientation(derived)
-		total++
 		if oneRound == zeroRound {
 			agree++
 		} else {
@@ -311,31 +308,4 @@ func Example_u2() {
 	// Output:
 	// == U2: Theorem 1 mechanized at t = 1 (Δ=2, orientation input) ==
 	// random problems checked: 150; equivalence holds: 150/150
-}
-
-// randomProblem draws a Δ=2 problem over alphabetSize labels, admitting
-// each edge and node configuration independently with the given density.
-func randomProblem(rng *rand.Rand, alphabetSize int, density float64) *core.Problem {
-	names := make([]string, alphabetSize)
-	for i := range names {
-		names[i] = string(rune('a' + i))
-	}
-	alpha := core.MustAlphabet(names...)
-	edge := core.NewConstraint(2)
-	node := core.NewConstraint(2)
-	for i := 0; i < alphabetSize; i++ {
-		for j := i; j < alphabetSize; j++ {
-			if rng.Float64() < density {
-				edge.MustAdd(core.NewConfig(core.Label(i), core.Label(j)))
-			}
-			if rng.Float64() < density {
-				node.MustAdd(core.NewConfig(core.Label(i), core.Label(j)))
-			}
-		}
-	}
-	p, err := core.NewProblem(alpha, edge, node)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

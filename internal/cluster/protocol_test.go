@@ -81,8 +81,8 @@ func TestPeerRecordRoundTrip(t *testing.T) {
 		t.Fatalf("step decode: ok=%v err=%v", ok, err)
 	}
 
-	// Miss: same key, absent kind.
-	if _, ok, err := c.FetchRecord(ctx, peerAddr(srv), store.KindTrajectory, store.TrajectoryRecordKey(p, par)); ok || err != nil {
+	// Miss: the rendered record's key under a kind it is not stored as.
+	if _, ok, err := c.FetchRecord(ctx, peerAddr(srv), store.KindTrajectory, store.RenderedRecordKey(p, par)); ok || err != nil {
 		t.Fatalf("miss: ok=%v err=%v", ok, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/bitset"
+	"repro/internal/par"
 )
 
 // This file contains brute-force reference implementations of the speedup
@@ -45,7 +46,7 @@ func NaiveHalfStep(p *Problem) (*Problem, error) {
 
 	node := NewConstraint(p.Delta())
 	candidates := candidateLists(sets, n)
-	budget := newStateBudget(defaultMaxStates)
+	budget := par.NewBudget(defaultMaxStates)
 	for _, cfg := range p.Node.Configs() {
 		if err := liftConfig(cfg, candidates, node, budget); err != nil {
 			return nil, err

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/intern"
+	"repro/internal/par"
 )
 
 // setArena interns the label sets of the set-configurations an
@@ -210,14 +211,14 @@ func maximalNodeSetConfigs(half *Problem, o speedupOptions) ([]setConfig, *setAr
 		return nil, nil, fmt.Errorf("core: second half step: Δ=%d exceeds the supported 255", half.Delta())
 	}
 	roots := half.Node.Configs()
-	budget := newStateBudget(max(o.maxStates-len(roots), 0))
+	budget := par.NewBudget(max(o.maxStates-len(roots), 0))
 	index := newCompletionIndex(half.Node, n)
 	explorers := make([]*explorer, o.workerCount(len(roots)))
 	for w := range explorers {
 		explorers[w] = &explorer{n: n, words: index.words, index: index, budget: budget,
 			key: make([]byte, n), mask: bitset.New(n), grown: bitset.New(n)}
 	}
-	err := runSharded(len(explorers), len(roots), func(w, i int) error {
+	err := par.RunSharded(len(explorers), len(roots), func(w, i int) error {
 		return explorers[w].walk(roots[i])
 	})
 	if err != nil {
@@ -287,7 +288,7 @@ func newCompletionIndex(h Constraint, n int) completionIndex {
 type explorer struct {
 	n, words  int // alphabet size; words per label set
 	index     completionIndex
-	budget    *stateBudget
+	budget    *par.Budget
 	stack     []uint64     // states still to expand, back to back
 	starts    []int        // start of each state in stack
 	cur       []uint64     // the state being expanded

@@ -117,7 +117,7 @@ func HalfStep(p *Problem, opts ...Option) (*Problem, error) {
 		})
 	}
 	configs := p.Node.Configs()
-	budget := newStateBudget(o.maxStates)
+	budget := par.NewBudget(o.maxStates)
 	workers := o.workerCount(len(configs))
 	node := NewConstraint(p.Delta())
 	if workers <= 1 {
@@ -134,7 +134,7 @@ func HalfStep(p *Problem, opts ...Option) (*Problem, error) {
 		for w := range accs {
 			accs[w] = NewConstraint(p.Delta())
 		}
-		err := runSharded(workers, len(configs), func(w, i int) error {
+		err := par.RunSharded(workers, len(configs), func(w, i int) error {
 			return liftConfig(configs[i], candidates, accs[w], budget)
 		})
 		if err != nil {
@@ -197,7 +197,7 @@ func closedSets(rel edgeRelation, n int) []bitset.Set {
 // slot holding old label y is replaced by a new label whose set contains y.
 // Results are inserted into dst. The budget is shared (atomically) with
 // any concurrent lifts of sibling configurations.
-func liftConfig(cfg Config, candidates [][]Label, dst Constraint, budget *stateBudget) error {
+func liftConfig(cfg Config, candidates [][]Label, dst Constraint, budget *par.Budget) error {
 	type group struct {
 		cands []Label
 		count int

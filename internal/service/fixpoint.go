@@ -69,11 +69,11 @@ const maxRenderedMemo = 4096
 // Fixpoint answers one fixpoint query, writing the NDJSON stream —
 // one FixpointEntry line per trajectory entry, then one
 // FixpointClassification line — through sink as lines finalize. A warm
-// hit (rendered memo, rendered record, or stored trajectory — see
-// FixpointBody) replays the complete body as a single chunk; a cold
-// run streams each entry the moment the underlying driver appends it,
-// and concurrent identical queries subscribe to the same run, so every
-// client of a key receives byte-identical bytes.
+// hit (rendered memo or rendered record — see FixpointBody) replays
+// the complete body as a single chunk; a cold run streams each entry
+// the moment the underlying driver appends it, and concurrent
+// identical queries subscribe to the same run, so every client of a
+// key receives byte-identical bytes.
 func (e *Engine) Fixpoint(ctx context.Context, req FixpointRequest, sink func(line []byte) error) error {
 	body, miss, err := e.lookupFixpoint(req)
 	if err != nil {
@@ -108,15 +108,14 @@ func (e *Engine) fixpointCold(ctx context.Context, q *fixpointQuery, sink func(l
 // warm tier can supply it without computing, in order of decreasing
 // warmth: the in-process rendered memo (keyed by raw request text —
 // a hit is one map lookup, no parsing), the rendered records of the
-// pack and the store, the trajectory tiers (rendering the stored
-// result and memoizing the body), and — for a clustered engine — the
-// key's ring owner over the peer protocol, with the fetched record
-// checksum-verified and backfilled locally. ok is false when only a
-// cold computation can answer — the caller falls back to Fixpoint's
-// streaming path. The returned body is shared and must not be
-// modified. Because every tier stores bytes rendered by the same
-// deterministic pipeline, a body served here is byte-identical to the
-// cold stream for the same request.
+// pack and the store, and — for a clustered engine — the key's ring
+// owner's rendered record over the peer protocol, checksum-verified
+// and backfilled locally. ok is false when no rendered body exists —
+// the caller falls back to Fixpoint's streaming path, which replays
+// whatever steps the step tiers hold. The returned body is shared and
+// must not be modified. Because every tier stores bytes rendered by
+// the same deterministic pipeline, a body served here is
+// byte-identical to the cold stream for the same request.
 func (e *Engine) FixpointBody(req FixpointRequest) ([]byte, bool, error) {
 	body, miss, err := e.lookupFixpoint(req)
 	return body, miss == nil && err == nil, err
@@ -145,11 +144,6 @@ func (e *Engine) lookupFixpoint(req FixpointRequest) (body []byte, miss *fixpoin
 	params := store.TrajectoryParams{MaxSteps: maxSteps, MaxStates: req.MaxStates}
 	body, ok := e.lookupRendered(p, params)
 	if !ok {
-		if res, hit := lookup(e, "trajectory", recordTier.GetTrajectory, p, params); hit {
-			body, ok = RenderFixpointNDJSON(res), true
-		}
-	}
-	if !ok {
 		// Every local tier missed: ask the key's ring owner before
 		// computing cold (no-op for a solo engine). A peer-served body
 		// is backfilled into the sink and memoized like any other warm
@@ -174,9 +168,8 @@ func fixpointFlightKey(p *core.Problem, params store.TrajectoryParams) string {
 // the preloaded pack, then the sink — and folds every consult into one
 // "rendered" warm-lookup outcome (at most one outcome per request for
 // the tier, with "corrupt" reported if any consulted record failed
-// validation). Failures of any kind degrade to a miss: the caller
-// re-renders from the trajectory tiers or recomputes, never serves a
-// damaged body.
+// validation). Failures of any kind degrade to a miss: the caller asks
+// the ring owner or replays the steps, never serves a damaged body.
 func (e *Engine) lookupRendered(p *core.Problem, params store.TrajectoryParams) ([]byte, bool) {
 	corrupt := false
 	for _, t := range e.tiers {
@@ -197,11 +190,11 @@ func (e *Engine) lookupRendered(p *core.Problem, params store.TrajectoryParams) 
 
 // computeFixpoint runs the driver under the admission gate, emitting
 // each trajectory line as the driver appends the entry, and commits
-// the classified trajectory plus its rendered body to the warm tiers
-// on success. The run is bounded by the call's context — engine
-// shutdown and subscriber abandonment both stop it at the next step
-// boundary, with every completed step already checkpointed through the
-// step memo.
+// the rendered body (plus the classified trajectory, cmd/sweep's
+// checkpoint record) to the sink on success. The run is bounded by the
+// call's context — engine shutdown and subscriber abandonment both
+// stop it at the next step boundary, with every completed step already
+// checkpointed through the step memo.
 func (e *Engine) computeFixpoint(c *call, q *fixpointQuery) (any, error) {
 	if err := e.enter(); err != nil {
 		return nil, err

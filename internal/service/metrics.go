@@ -76,15 +76,17 @@ type peerKey struct {
 var peerOutcomes = []string{"hit", "miss", "corrupt", "unreachable", "skipped"}
 
 // warmTiers are the warm-lookup record tiers instrumented by the
-// engine: the preloaded pack artifact, the sink's full steps, whole
-// trajectories, pre-rendered response bodies and rendered verdicts,
-// in-process half steps, and the in-process per-budget memo of
-// state-budget failures (consulted after a step-memo miss, matched up
-// to label renaming). A memory-only sink keeps no trajectory or
-// rendered records, so those two tiers only miss there. The "rendered"
-// tier folds its whole chain — in-process memo, pack record, sink
-// record — into at most one outcome per request.
-var warmTiers = []string{"pack", "step", "trajectory", "rendered", "verdict", "half", "failure"}
+// engine: the preloaded pack artifact, the sink's full steps,
+// pre-rendered response bodies and rendered verdicts, in-process half
+// steps, and the in-process per-budget memo of state-budget failures
+// (consulted after a step-memo miss, matched up to label renaming).
+// The "rendered" tier folds its whole chain — in-process memo, pack
+// record, sink record — into at most one outcome per request; a
+// memory-only sink keeps no rendered records, so there only the memo
+// hits. A request the rendered tier misses replays its steps:
+// trajectory records are committed for cmd/sweep's checkpoints, and
+// no serve path reads them.
+var warmTiers = []string{"pack", "step", "rendered", "verdict", "half", "failure"}
 
 // warmOutcomes are the per-tier lookup outcomes: "hit" served a record,
 // "miss" fell through cleanly, "corrupt" fell through because the
@@ -417,10 +419,9 @@ type SingleflightStat struct {
 
 // StoreStat is one warm tier's lookup-outcome count.
 type StoreStat struct {
-	// Tier is the record tier ("pack", "step", "trajectory",
-	// "rendered", "verdict", "half", "failure"). A "failure" hit is a
-	// step answered with a remembered state-budget failure instead of
-	// being computed.
+	// Tier is the record tier ("pack", "step", "rendered", "verdict",
+	// "half", "failure"). A "failure" hit is a step answered with a
+	// remembered state-budget failure instead of being computed.
 	Tier string `json:"tier"`
 	// Hits counts warm lookups that were served.
 	Hits int64 `json:"hits"`

@@ -88,7 +88,7 @@ func TestPackServedByteIdentity(t *testing.T) {
 	if pack.Hits == 0 || pack.Misses != 0 || pack.Corrupt != 0 {
 		t.Fatalf("pack tier = %+v, want only hits", pack)
 	}
-	for _, tier := range []string{"step", "trajectory", "verdict"} {
+	for _, tier := range []string{"step", "verdict"} {
 		if row := tierStat(t, m, e, tier); row.Hits+row.Misses+row.Corrupt != 0 {
 			t.Fatalf("tier %q consulted behind a fully-warm pack: %+v", tier, row)
 		}
@@ -152,7 +152,7 @@ func TestCorruptWarmRecordsDegrade(t *testing.T) {
 			t.Errorf("%s: body over corrupted store differs from cold body", name)
 		}
 	}
-	for _, tier := range []string{"step", "trajectory", "rendered", "verdict"} {
+	for _, tier := range []string{"step", "rendered", "verdict"} {
 		if row := tierStat(t, m, e, tier); row.Corrupt == 0 {
 			t.Errorf("tier %q reported no corrupt outcomes over a fully-corrupted store", tier)
 		}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fixpoint"
 	"repro/internal/store"
 )
 
@@ -177,37 +176,23 @@ func (e *Engine) peerStep(in *core.Problem, maxStates int) (*core.Problem, bool)
 	return out, true
 }
 
-// peerFixpoint asks the owner of problem p for a finished fixpoint
-// answer after every local tier missed: the pre-rendered body first
-// (the exact response bytes), the classified trajectory second
-// (re-rendered locally). A hit backfills the sink — both the trajectory
-// and the rendered record, the same pairing cmd/sweep commits on
-// checkpoint hits — so one peer fetch makes the answer local.
+// peerFixpoint asks the owner of problem p for its pre-rendered body
+// after every local tier missed. A hit backfills the sink's rendered
+// record, so one peer fetch makes the answer local.
 func (e *Engine) peerFixpoint(p *core.Problem, params store.TrajectoryParams) ([]byte, bool) {
 	if e.peers == nil {
 		return nil, false
 	}
 	var body []byte
-	if e.peerLookup(p, store.KindRendered, store.RenderedRecordKey(p, params), func(frame []byte) (bool, error) {
+	if !e.peerLookup(p, store.KindRendered, store.RenderedRecordKey(p, params), func(frame []byte) (bool, error) {
 		b, ok, err := store.DecodeRenderedRecord(frame, p, params)
 		body = b
 		return ok, err
 	}) {
-		_ = e.sink.PutRendered(p, params, body)
-		return body, true
+		return nil, false
 	}
-	var res *fixpoint.Result
-	if e.peerLookup(p, store.KindTrajectory, store.TrajectoryRecordKey(p, params), func(frame []byte) (bool, error) {
-		r, ok, err := store.DecodeTrajectoryRecord(frame, p, params)
-		res = r
-		return ok, err
-	}) {
-		body = RenderFixpointNDJSON(res)
-		_ = e.sink.PutTrajectory(p, params, res)
-		_ = e.sink.PutRendered(p, params, body)
-		return body, true
-	}
-	return nil, false
+	_ = e.sink.PutRendered(p, params, body)
+	return body, true
 }
 
 // registerPeerRoutes mounts the peer protocol endpoints when the

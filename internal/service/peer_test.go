@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -167,39 +166,6 @@ func TestPeerServedByteIdentity(t *testing.T) {
 	}
 	if got := len(globStore(t, nodes[1].dir, "rendered")); got == 0 {
 		t.Fatal("peer hit did not backfill the local rendered record")
-	}
-}
-
-// TestPeerTrajectoryBackfillsRendered: when the owner holds only the
-// trajectory record (its rendered record is gone), the non-owner
-// re-renders the peer-served trajectory byte-identically AND commits
-// both the trajectory and the rendered record locally — the same
-// pairing cmd/sweep writes on checkpoint hits.
-func TestPeerTrajectoryBackfillsRendered(t *testing.T) {
-	nodes := startCluster(t, 2)
-	members := []string{nodes[0].addr, nodes[1].addr}
-	p := ownedProblem(t, members, nodes[0].addr)
-	want := fixpointBodyFor(t, p)
-
-	queryFixpoint(t, nodes[0].srv.URL, p)
-	for _, f := range globStore(t, nodes[0].dir, "rendered") {
-		if err := os.Remove(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if got := queryFixpoint(t, nodes[1].srv.URL, p); !bytes.Equal(got, want) {
-		t.Fatal("trajectory-backed peer body differs from solo reference")
-	}
-	ps := peerStat(nodes[1], nodes[0].addr)
-	if ps.Hits == 0 || ps.Misses == 0 {
-		t.Fatalf("want a rendered miss and a trajectory hit, got %+v", ps)
-	}
-	if len(globStore(t, nodes[1].dir, "traj")) == 0 {
-		t.Fatal("peer trajectory hit did not backfill the local trajectory record")
-	}
-	if len(globStore(t, nodes[1].dir, "rendered")) == 0 {
-		t.Fatal("peer trajectory hit did not backfill the local rendered record")
 	}
 }
 

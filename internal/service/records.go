@@ -14,7 +14,6 @@ import (
 // an error, which the serve path degrades to a miss.
 type recordTier interface {
 	GetStep(in *core.Problem, maxStates int) (*core.Problem, bool, error)
-	GetTrajectory(in *core.Problem, par store.TrajectoryParams) (*fixpoint.Result, bool, error)
 	GetRendered(in *core.Problem, par store.TrajectoryParams) ([]byte, bool, error)
 	GetVerdict(in *core.Problem, par store.VerdictParams) ([]byte, bool, error)
 }
@@ -102,11 +101,6 @@ func (m memRecords) GetStep(in *core.Problem, maxStates int) (*core.Problem, boo
 func (m memRecords) PutStep(in, out *core.Problem, maxStates int) error {
 	m.steps.put(stepKey{string(in.CanonicalBytes()), maxStates}, out)
 	return nil
-}
-
-// GetTrajectory always misses.
-func (memRecords) GetTrajectory(*core.Problem, store.TrajectoryParams) (*fixpoint.Result, bool, error) {
-	return nil, false, nil
 }
 
 // PutTrajectory drops the trajectory.

@@ -113,9 +113,6 @@ func TestMemoryReplayFromStepMemo(t *testing.T) {
 	if after.Misses != before.Misses || after.Hits != before.Hits+int64(cls.Steps) {
 		t.Fatalf("step tier went from %+v to %+v, want no new miss and %d new hits", before, after, cls.Steps)
 	}
-	if traj := tierStat(t, m, e, "trajectory"); traj.Hits != 0 {
-		t.Fatalf("trajectory tier = %+v, want no hit from a memory-only engine", traj)
-	}
 }
 
 // TestPeerStepBackfillsMemoryOnly: a memory-only clustered engine keeps

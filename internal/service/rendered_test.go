@@ -213,9 +213,9 @@ func TestBufferPoolBalance(t *testing.T) {
 }
 
 // TestCorruptRenderedDegrades: damaging only the rendered record
-// leaves the query byte-identical — the engine re-renders from the
-// trajectory record — and surfaces the damage as a "rendered" corrupt
-// outcome.
+// leaves the query byte-identical — the engine replays the trajectory
+// from the step records — and surfaces the damage as a "rendered"
+// corrupt outcome.
 func TestCorruptRenderedDegrades(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "results")
 	e1 := newEngine(t, dir)
@@ -250,8 +250,57 @@ func TestCorruptRenderedDegrades(t *testing.T) {
 	if row.Corrupt == 0 {
 		t.Fatalf("rendered tier = %+v, want a corrupt outcome", row)
 	}
-	if st := tierStat(t, m, e2, "trajectory"); st.Hits == 0 {
-		t.Fatalf("trajectory tier = %+v, want the re-render hit", st)
+	if st := tierStat(t, m, e2, "step"); st.Hits == 0 || st.Misses != 0 {
+		t.Fatalf("step tier = %+v, want the replay's hits and no miss", st)
+	}
+}
+
+// TestMissingRenderedReplaysSteps: a store holding a problem's step and
+// trajectory records but no rendered record — as a store written
+// before the rendered kind existed, or a sweep killed between its two
+// commits, leaves it — answers byte-identically by replaying the
+// steps: every step is a step-tier hit, none misses, and the replay
+// commits the rendered record.
+func TestMissingRenderedReplaysSteps(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "results")
+	req := FixpointRequest{Problem: orientationText()}
+	cold := fixpointBody(t, newEngine(t, dir), req)
+	records := func(ext string) []string {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*."+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths
+	}
+	if len(records("traj")) == 0 || len(records("step")) == 0 {
+		t.Fatal("the cold run committed no trajectory or no step record")
+	}
+	for _, path := range records("rendered") {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := bytes.Split(bytes.TrimSpace(cold), []byte("\n"))
+	var cls FixpointClassification
+	if err := json.Unmarshal(lines[len(lines)-1], &cls); err != nil || cls.Steps == 0 {
+		t.Fatalf("classification line %q: err %v, steps %d; want at least one step", lines[len(lines)-1], err, cls.Steps)
+	}
+
+	m := NewMetrics()
+	e2, err := New(Config{StoreDir: dir, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e2.Close() })
+	if got := fixpointBody(t, e2, req); !bytes.Equal(got, cold) {
+		t.Fatal("body replayed from the step records differs from the cold body")
+	}
+	if st := tierStat(t, m, e2, "step"); st.Hits != int64(cls.Steps) || st.Misses != 0 || st.Corrupt != 0 {
+		t.Fatalf("step tier = %+v, want %d hits and nothing else", st, cls.Steps)
+	}
+	if len(records("rendered")) == 0 {
+		t.Fatal("the replay committed no rendered record")
 	}
 }
 

@@ -16,11 +16,15 @@
 //     produced and then follow along live.
 //   - Warm serving: finished results are committed to the persistent
 //     result store (speedup steps, classified trajectories, rendered
-//     verdicts) and replayed from it in microseconds. Because every
-//     response is rendered from canonical problem serializations and
-//     deterministic structs, a warm response is byte-identical to the
-//     cold response — the same contract cmd/sweep relies on for its
-//     resume-after-kill reports. A preloaded pack artifact (Config.Pack,
+//     fixpoint bodies and verdicts) and replayed from it in
+//     microseconds. A fixpoint query is served from its rendered body;
+//     when that is missing or damaged, the query replays its steps
+//     from the step records (the trajectory record is cmd/sweep's
+//     checkpoint, not a serve tier). Because every response is
+//     rendered from canonical problem serializations and deterministic
+//     structs, a warm response is byte-identical to the cold response
+//     — the same contract cmd/sweep relies on for its resume-after-kill
+//     reports. A preloaded pack artifact (Config.Pack,
 //     built by cmd/sweep -pack) adds a read-only warm tier consulted
 //     before the store, with the same byte-identity guarantee.
 //
@@ -52,7 +56,7 @@
 // deduplication and byte-identity hold, with warmth scoped to the
 // process lifetime and kept in maps cleared wholesale when full:
 // rendered bodies (maxRenderedMemo), and steps, verdicts and half steps
-// (maxMemRecords each). It keeps no trajectories, so a repeat that
+// (maxMemRecords each). It keeps no rendered records, so a repeat that
 // misses the rendered memo replays its steps from the step map.
 package service
 

@@ -429,7 +429,7 @@ func FuzzParsePack(f *testing.F) {
 			t.Fatalf("walk visited %d of %d records", len(walked), pr.Len())
 		}
 		for i, r := range walked {
-			if got, ok := pr.lookup(r.kind, r.key); !ok || !bytes.Equal(got, r.payload) {
+			if got, ok, _ := pr.lookup(r.kind, r.key); !ok || !bytes.Equal(got, r.payload) {
 				t.Fatalf("record %d does not look up to itself", i)
 			}
 		}

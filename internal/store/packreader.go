@@ -4,10 +4,10 @@ package store
 // packed warm-cache artifact (see pack.go for the format). OpenPack
 // validates the whole file once — magic, versions, SHA-256, section
 // geometry, entry bounds, key order — so lookups afterwards never
-// re-verify and never fail, they only hit or miss. The reader mirrors
-// the Store's GetStep/GetTrajectory/GetRendered/GetVerdict API and
-// shares its payload decoding, which is what makes a pack-served reply
-// byte-identical to a JSON-store or cold reply for the same query.
+// re-verify and never fail, they only hit or miss. The reader's typed
+// getters are the Store's own (recordReader) over a binary search of
+// the key table, which is what makes a pack-served reply byte-identical
+// to a JSON-store or cold reply for the same query.
 
 import (
 	"bytes"
@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/fixpoint"
 )
 
 // PackReader serves lookups from one pack file, validated in full at
@@ -28,6 +27,7 @@ import (
 // lookups (a lookup against a closed reader degrades to a miss, never
 // touches unmapped memory).
 type PackReader struct {
+	recordReader
 	mu     sync.RWMutex
 	data   []byte       // the whole file: mmap-backed or heap-backed
 	unmap  func() error // non-nil when data is a live mapping
@@ -117,6 +117,7 @@ func parsePack(data []byte) (*PackReader, error) {
 	entries := data[off : off+count*packEntrySize]
 	off += count * packEntrySize
 	pr := &PackReader{data: data, count: int(count), keys: keys, entries: entries, payloads: data[off : off+dataLen]}
+	pr.recordReader = pr.lookup
 	// Bounds-check every entry once, so lookups can slice the data
 	// section without rechecking, and check the key order binary search
 	// relies on.
@@ -163,69 +164,26 @@ func (pr *PackReader) Close() error {
 // Len returns the number of records in the pack.
 func (pr *PackReader) Len() int { return pr.count }
 
-// lookup returns a copy of the payload stored under (kind, key). The
-// copy is deliberate: returned payloads outlive the reader (a serve
-// path may still be rendering after the engine — and the mapping — is
-// closed), so nothing returned may alias the mmap.
-func (pr *PackReader) lookup(kind Kind, key core.StableFingerprint) ([]byte, bool) {
+// lookup is the pack's recordReader: a copy of the payload stored
+// under (kind, key). The copy is deliberate: returned payloads outlive
+// the reader (a serve path may still be rendering after the engine —
+// and the mapping — is closed), so nothing returned may alias the
+// mmap. The error is always nil: the pack was validated in full at
+// open.
+func (pr *PackReader) lookup(kind Kind, key core.StableFingerprint) ([]byte, bool, error) {
 	pr.mu.RLock()
 	defer pr.mu.RUnlock()
 	if pr.closed {
-		return nil, false
+		return nil, false, nil
 	}
 	var kb [packKeyLen]byte
 	kb[0] = byte(kind)
 	copy(kb[1:], key[:])
 	i, ok := sort.Find(pr.count, func(i int) int { return bytes.Compare(kb[:], pr.key(i)) })
 	if !ok {
-		return nil, false
-	}
-	return bytes.Clone(pr.payload(i)), true
-}
-
-// GetStep mirrors Store.GetStep over the pack: the memoized speedup
-// step for the exact problem under the exact state budget, validated by
-// the same collision guard, absent records a miss.
-func (pr *PackReader) GetStep(in *core.Problem, maxStates int) (*core.Problem, bool, error) {
-	canonical := in.CanonicalBytes()
-	payload, ok := pr.lookup(KindStep, stepKey(canonical, maxStates))
-	if !ok {
 		return nil, false, nil
 	}
-	return decodeStepPayload(payload, canonical, maxStates)
-}
-
-// GetTrajectory mirrors Store.GetTrajectory over the pack.
-func (pr *PackReader) GetTrajectory(in *core.Problem, par TrajectoryParams) (*fixpoint.Result, bool, error) {
-	canonical := in.CanonicalBytes()
-	payload, ok := pr.lookup(KindTrajectory, subKey(core.StableKeyOf(canonical), par.tag()))
-	if !ok {
-		return nil, false, nil
-	}
-	return decodeTrajectoryPayload(payload, canonical, par)
-}
-
-// GetRendered mirrors Store.GetRendered over the pack: the exact
-// pre-rendered NDJSON response body for the query, behind the same
-// collision guard, so a pack-served body is byte-identical to a
-// store-served or freshly rendered one.
-func (pr *PackReader) GetRendered(in *core.Problem, par TrajectoryParams) ([]byte, bool, error) {
-	canonical := in.CanonicalBytes()
-	payload, ok := pr.lookup(KindRendered, subKey(core.StableKeyOf(canonical), renderedTag(par)))
-	if !ok {
-		return nil, false, nil
-	}
-	return decodeRenderedPayload(payload, canonical, par)
-}
-
-// GetVerdict mirrors Store.GetVerdict over the pack.
-func (pr *PackReader) GetVerdict(in *core.Problem, par VerdictParams) ([]byte, bool, error) {
-	canonical := in.CanonicalBytes()
-	payload, ok := pr.lookup(KindVerdict, subKey(core.StableKeyOf(canonical), par.tag()))
-	if !ok {
-		return nil, false, nil
-	}
-	return decodeVerdictPayload(payload, canonical, par)
+	return bytes.Clone(pr.payload(i)), true, nil
 }
 
 // Walk visits every record in the pack in sorted key order. The payload

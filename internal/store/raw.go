@@ -4,7 +4,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/fixpoint"
 )
 
 // This file is the store's raw-record surface: whole framed records —
@@ -18,40 +17,11 @@ import (
 // byte, so a corrupt or byzantine peer degrades to a cache miss, never
 // to a wrong result.
 
-// Ext returns the kind's filename extension ("step", "traj",
-// "verdict", "rendered") — also the kind's wire name in the cluster
-// peer protocol.
-func (k Kind) Ext() string { return k.ext() }
-
-// KindByExt resolves a filename extension (or peer-protocol kind name)
-// back to its Kind. ok is false for unknown extensions.
-func KindByExt(ext string) (Kind, bool) {
-	switch ext {
-	case "step":
-		return KindStep, true
-	case "traj":
-		return KindTrajectory, true
-	case "verdict":
-		return KindVerdict, true
-	case "rendered":
-		return KindRendered, true
-	default:
-		return 0, false
-	}
-}
-
 // StepRecordKey derives the object key of the memoized speedup step
 // for problem in under the given state budget — the same key PutStep
 // and GetStep use internally.
 func StepRecordKey(in *core.Problem, maxStates int) core.StableFingerprint {
 	return stepKey(in.CanonicalBytes(), maxStates)
-}
-
-// TrajectoryRecordKey derives the object key of the classified
-// trajectory for problem in under the given params — the same key
-// PutTrajectory and GetTrajectory use internally.
-func TrajectoryRecordKey(in *core.Problem, par TrajectoryParams) core.StableFingerprint {
-	return subKey(core.StableKey(in), par.tag())
 }
 
 // RenderedRecordKey derives the object key of the pre-rendered
@@ -64,9 +34,10 @@ func RenderedRecordKey(in *core.Problem, par TrajectoryParams) core.StableFinger
 // RawRecord returns the complete framed record bytes stored under
 // (kind, key) — exactly the file the store committed. The frame is
 // validated before it is returned: a present-but-corrupt record yields
-// its corruption sentinel, never damaged bytes, so a peer server built
-// on RawRecord can only ship frames that were intact on its own disk.
-// ok is false when no record exists.
+// its corruption sentinel (ErrBadMagic, ErrVersionMismatch,
+// ErrKindMismatch, ErrTruncated, ErrChecksum), never damaged bytes, so
+// a peer server built on RawRecord can only ship frames that were
+// intact on its own disk. ok is false when no record exists.
 func (s *Store) RawRecord(kind Kind, key core.StableFingerprint) ([]byte, bool, error) {
 	data, err := os.ReadFile(s.objectPath(kind, key))
 	if os.IsNotExist(err) {
@@ -81,6 +52,16 @@ func (s *Store) RawRecord(kind Kind, key core.StableFingerprint) ([]byte, bool, 
 	return data, true, nil
 }
 
+// payload is the store's recordReader: the payload of the record
+// RawRecord read and validated.
+func (s *Store) payload(kind Kind, key core.StableFingerprint) ([]byte, bool, error) {
+	frame, ok, err := s.RawRecord(kind, key)
+	if !ok {
+		return nil, false, err
+	}
+	return frame[recordHeaderSize : len(frame)-checksumSize], true, nil
+}
+
 // RawRecord returns the record under (kind, key) as complete framed
 // bytes, re-framing the pack's stored payload through the store's
 // record encoder. Framing is deterministic, so the frame is
@@ -90,11 +71,21 @@ func (s *Store) RawRecord(kind Kind, key core.StableFingerprint) ([]byte, bool, 
 // open); the signature matches (*Store).RawRecord so both back one
 // RecordSource interface.
 func (pr *PackReader) RawRecord(kind Kind, key core.StableFingerprint) ([]byte, bool, error) {
-	payload, ok := pr.lookup(kind, key)
+	payload, ok, _ := pr.lookup(kind, key)
 	if !ok {
 		return nil, false, nil
 	}
 	return encodeRecord(kind, payload), true, nil
+}
+
+// frameReader reads the one record frame a peer shipped. The frame
+// carries no key, so it answers every key: its own validation and the
+// payload's collision guard are what tie it to the query.
+func frameReader(frame []byte) recordReader {
+	return func(kind Kind, _ core.StableFingerprint) ([]byte, bool, error) {
+		payload, err := decodeRecord(frame, kind)
+		return payload, err == nil, err
+	}
 }
 
 // DecodeStepRecord validates a transported step-record frame against
@@ -104,31 +95,12 @@ func (pr *PackReader) RawRecord(kind Kind, key core.StableFingerprint) ([]byte, 
 // embedded input/budget collision guard. Any frame damage yields a
 // corruption sentinel; a guard mismatch is a miss (ok false, err nil).
 func DecodeStepRecord(frame []byte, in *core.Problem, maxStates int) (*core.Problem, bool, error) {
-	payload, err := decodeRecord(frame, KindStep)
-	if err != nil {
-		return nil, false, err
-	}
-	return decodeStepPayload(payload, in.CanonicalBytes(), maxStates)
-}
-
-// DecodeTrajectoryRecord validates a transported trajectory-record
-// frame against the queried problem and params and returns the decoded
-// fixpoint result — the same trust chain as DecodeStepRecord.
-func DecodeTrajectoryRecord(frame []byte, in *core.Problem, par TrajectoryParams) (*fixpoint.Result, bool, error) {
-	payload, err := decodeRecord(frame, KindTrajectory)
-	if err != nil {
-		return nil, false, err
-	}
-	return decodeTrajectoryPayload(payload, in.CanonicalBytes(), par)
+	return frameReader(frame).GetStep(in, maxStates)
 }
 
 // DecodeRenderedRecord validates a transported rendered-body frame
 // against the queried problem and params and returns the exact NDJSON
 // response body — the same trust chain as DecodeStepRecord.
 func DecodeRenderedRecord(frame []byte, in *core.Problem, par TrajectoryParams) ([]byte, bool, error) {
-	payload, err := decodeRecord(frame, KindRendered)
-	if err != nil {
-		return nil, false, err
-	}
-	return decodeRenderedPayload(payload, in.CanonicalBytes(), par)
+	return frameReader(frame).GetRendered(in, par)
 }

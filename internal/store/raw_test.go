@@ -56,19 +56,6 @@ func TestRawRecordRoundTrip(t *testing.T) {
 		t.Fatal("decoded step differs from GetStep")
 	}
 
-	frame, ok, err = st.RawRecord(KindTrajectory, TrajectoryRecordKey(p, par))
-	if err != nil || !ok {
-		t.Fatalf("trajectory RawRecord: ok=%v err=%v", ok, err)
-	}
-	res, ok, err := DecodeTrajectoryRecord(frame, p, par)
-	if err != nil || !ok {
-		t.Fatalf("DecodeTrajectoryRecord: ok=%v err=%v", ok, err)
-	}
-	wantRes, _, _ := st.GetTrajectory(p, par)
-	if res.Kind != wantRes.Kind || res.Steps != wantRes.Steps || len(res.Trajectory) != len(wantRes.Trajectory) {
-		t.Fatal("decoded trajectory differs from GetTrajectory")
-	}
-
 	frame, ok, err = st.RawRecord(KindRendered, RenderedRecordKey(p, par))
 	if err != nil || !ok {
 		t.Fatalf("rendered RawRecord: ok=%v err=%v", ok, err)
@@ -129,7 +116,7 @@ func TestPackRawRecordMatchesStoreFrame(t *testing.T) {
 		key  core.StableFingerprint
 	}{
 		{KindStep, StepRecordKey(p, par.MaxStates)},
-		{KindTrajectory, TrajectoryRecordKey(p, par)},
+		{KindTrajectory, subKey(core.StableKey(p), par.tag())},
 		{KindRendered, RenderedRecordKey(p, par)},
 	} {
 		storeFrame, ok, err := st.RawRecord(probe.kind, probe.key)

@@ -44,20 +44,34 @@ const (
 	KindRendered Kind = 4
 )
 
-// ext returns the filename extension of the kind.
-func (k Kind) ext() string {
-	switch k {
-	case KindStep:
-		return "step"
-	case KindTrajectory:
-		return "traj"
-	case KindVerdict:
-		return "verdict"
-	case KindRendered:
-		return "rendered"
-	default:
-		return fmt.Sprintf("kind%d", uint32(k))
+// kindExts names every record kind: its object filename extension,
+// which is also its wire name in the cluster peer protocol.
+var kindExts = map[Kind]string{
+	KindStep:       "step",
+	KindTrajectory: "traj",
+	KindVerdict:    "verdict",
+	KindRendered:   "rendered",
+}
+
+// Ext returns the kind's filename extension ("step", "traj",
+// "verdict", "rendered"), also the kind's wire name in the cluster
+// peer protocol.
+func (k Kind) Ext() string {
+	if ext, ok := kindExts[k]; ok {
+		return ext
 	}
+	return fmt.Sprintf("kind%d", uint32(k))
+}
+
+// KindByExt resolves a filename extension (or peer-protocol kind name)
+// back to its Kind. ok is false for unknown extensions.
+func KindByExt(ext string) (Kind, bool) {
+	for k, e := range kindExts {
+		if e == ext {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // Corruption sentinels. Every decode failure wraps exactly one of

@@ -52,24 +52,13 @@ func (s *Store) PutRendered(in *core.Problem, par TrajectoryParams, body []byte)
 // GetRendered looks up the pre-rendered response body for the exact
 // problem in under the exact params. Corrupt records surface their
 // sentinel; records whose embedded input or params disagree with the
-// query are a miss — in both cases the caller degrades to re-rendering
-// from the trajectory record (or recomputing), never to a wrong body.
-func (s *Store) GetRendered(in *core.Problem, par TrajectoryParams) ([]byte, bool, error) {
+// query are a miss — in both cases the caller degrades to replaying
+// the steps (or recomputing), never to a wrong body.
+func (r recordReader) GetRendered(in *core.Problem, par TrajectoryParams) ([]byte, bool, error) {
 	canonical := in.CanonicalBytes()
-	data, ok, err := s.getRecord(KindRendered, subKey(core.StableKeyOf(canonical), renderedTag(par)))
-	if !ok || err != nil {
+	payload, ok, err := decode[renderedPayload](r, KindRendered, subKey(core.StableKeyOf(canonical), renderedTag(par)))
+	if !ok {
 		return nil, false, err
-	}
-	return decodeRenderedPayload(data, canonical, par)
-}
-
-// decodeRenderedPayload validates a rendered payload against the
-// queried problem, given by its canonical serialization, and params.
-// Shared by the JSON store and the pack reader (see decodeStepPayload).
-func decodeRenderedPayload(data, canonical []byte, par TrajectoryParams) ([]byte, bool, error) {
-	var payload renderedPayload
-	if err := json.Unmarshal(data, &payload); err != nil {
-		return nil, false, fmt.Errorf("store: get rendered: %w", err)
 	}
 	if payload.FPVersion != core.FingerprintVersion ||
 		payload.MaxSteps != par.MaxSteps || payload.MaxStates != par.MaxStates ||

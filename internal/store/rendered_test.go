@@ -122,11 +122,12 @@ func TestRenderedPackRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzRenderedRecord fuzzes the rendered-record frame and payload
-// parse: arbitrary bytes in place of a committed record must either
-// decode to the exact committed body or fail closed (miss/sentinel) —
-// never panic, never return ok with a different body. This is the
-// degrade-to-re-render guarantee of the serve path's rendered tier.
+// FuzzRenderedRecord fuzzes the rendered-record frame getter
+// (DecodeRenderedRecord, the typed getter every record source shares):
+// arbitrary bytes in place of a committed record must either decode to
+// the exact committed body or fail closed (miss/sentinel) — never
+// panic, never return ok with a different body. This is the
+// degrade-to-replay guarantee of the serve path's rendered tier.
 func FuzzRenderedRecord(f *testing.F) {
 	in := core.MustParse("node:\n0^2 1\nedge:\n0 0\n0 1\n")
 	par := TrajectoryParams{MaxSteps: 16}
@@ -145,13 +146,9 @@ func FuzzRenderedRecord(f *testing.F) {
 	f.Add(mut)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := decodeRecord(data, KindRendered)
-		if err != nil {
-			return // fail-closed: the serve path counts it and re-renders
-		}
-		got, ok, err := decodeRenderedPayload(payload, in.CanonicalBytes(), par)
+		got, ok, err := DecodeRenderedRecord(data, in, par)
 		if err != nil || !ok {
-			return // fail-closed
+			return // fail-closed: the serve path counts it and replays the steps
 		}
 		// The frame checksum and the embedded-input guard passed: the
 		// only accepting input is the committed record itself.

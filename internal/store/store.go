@@ -49,6 +49,7 @@ import (
 // usable; call Open. A Store is safe for concurrent use by multiple
 // goroutines (and the directory by multiple processes).
 type Store struct {
+	recordReader
 	root string
 }
 
@@ -61,7 +62,9 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	return &Store{root: dir}, nil
+	s := &Store{root: dir}
+	s.recordReader = s.payload
+	return s, nil
 }
 
 // Root returns the store's root directory.
@@ -70,7 +73,7 @@ func (s *Store) Root() string { return s.root }
 // objectPath maps (kind, key) to the record's final path.
 func (s *Store) objectPath(kind Kind, key core.StableFingerprint) string {
 	hexKey := key.String()
-	return filepath.Join(s.root, "objects", hexKey[:2], hexKey+"."+kind.ext())
+	return filepath.Join(s.root, "objects", hexKey[:2], hexKey+"."+kind.Ext())
 }
 
 // putRecord frames and atomically commits a payload.
@@ -78,23 +81,32 @@ func (s *Store) putRecord(kind Kind, key core.StableFingerprint, payload []byte)
 	return writeAtomic(s.objectPath(kind, key), encodeRecord(kind, payload))
 }
 
-// getRecord reads and validates a record, returning (payload, true) on
-// a hit, (nil, false, nil) when absent, and a corruption sentinel
-// (ErrBadMagic, ErrVersionMismatch, ErrKindMismatch, ErrTruncated,
-// ErrChecksum) when the file exists but cannot be trusted.
-func (s *Store) getRecord(kind Kind, key core.StableFingerprint) ([]byte, bool, error) {
-	data, err := os.ReadFile(s.objectPath(kind, key))
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
+// recordReader fetches the validated payload stored under (kind, key)
+// from one record source: ok is false when there is none, and a
+// damaged record reports its corruption sentinel. Its methods are the
+// typed getters of every source — GetStep, GetTrajectory, GetRendered
+// and GetVerdict, each written once. A getter derives the record key
+// from its query, fetches the payload and runs the collision guard: a
+// payload whose embedded input or parameters disagree with the query
+// is a miss, never a wrong result. *Store fetches object files,
+// *PackReader binary-searches its key table, and the Decode*Record
+// functions read the one frame a peer shipped, so every source answers
+// identical payload bytes identically.
+type recordReader func(kind Kind, key core.StableFingerprint) ([]byte, bool, error)
+
+// decode fetches the payload under (kind, key) through r and
+// unmarshals it into a new P, which only a hit allocates. ok is false
+// when the record is absent or damaged.
+func decode[P any](r recordReader, kind Kind, key core.StableFingerprint) (*P, bool, error) {
+	payload, ok, err := r(kind, key)
+	if !ok {
 		return nil, false, err
 	}
-	payload, err := decodeRecord(data, kind)
-	if err != nil {
-		return nil, false, err
+	rec := new(P)
+	if err := json.Unmarshal(payload, rec); err != nil {
+		return nil, false, fmt.Errorf("store: decode %s record: %w", kind.Ext(), err)
 	}
-	return payload, true, nil
+	return rec, true, nil
 }
 
 // stepPayload is the JSON payload of a KindStep record. Input and
@@ -142,24 +154,11 @@ func (s *Store) PutStep(in, out *core.Problem, maxStates int) error {
 // reported via one of the corruption sentinels; a record whose embedded
 // input or budget does not match the query (hash collision, foreign
 // file) is a miss.
-func (s *Store) GetStep(in *core.Problem, maxStates int) (*core.Problem, bool, error) {
+func (r recordReader) GetStep(in *core.Problem, maxStates int) (*core.Problem, bool, error) {
 	canonical := in.CanonicalBytes()
-	payload, ok, err := s.getRecord(KindStep, stepKey(canonical, maxStates))
-	if !ok || err != nil {
+	rec, ok, err := decode[stepPayload](r, KindStep, stepKey(canonical, maxStates))
+	if !ok {
 		return nil, false, err
-	}
-	return decodeStepPayload(payload, canonical, maxStates)
-}
-
-// decodeStepPayload validates a step payload against the queried
-// problem, given by its canonical serialization, and budget. Shared by
-// the JSON store and the pack reader, so both tiers apply the identical
-// collision guard and return identical results for identical payload
-// bytes.
-func decodeStepPayload(payload, canonical []byte, maxStates int) (*core.Problem, bool, error) {
-	var rec stepPayload
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, false, fmt.Errorf("store: get step: %w", err)
 	}
 	if rec.FPVersion != core.FingerprintVersion || rec.MaxStates != maxStates ||
 		rec.Input != string(canonical) {

@@ -83,22 +83,11 @@ func (s *Store) PutTrajectory(in *core.Problem, par TrajectoryParams, res *fixpo
 // problem in under the exact params. Corrupt records surface their
 // sentinel; records whose embedded input or params disagree with the
 // query are a miss.
-func (s *Store) GetTrajectory(in *core.Problem, par TrajectoryParams) (*fixpoint.Result, bool, error) {
+func (r recordReader) GetTrajectory(in *core.Problem, par TrajectoryParams) (*fixpoint.Result, bool, error) {
 	canonical := in.CanonicalBytes()
-	data, ok, err := s.getRecord(KindTrajectory, subKey(core.StableKeyOf(canonical), par.tag()))
-	if !ok || err != nil {
+	payload, ok, err := decode[trajectoryPayload](r, KindTrajectory, subKey(core.StableKeyOf(canonical), par.tag()))
+	if !ok {
 		return nil, false, err
-	}
-	return decodeTrajectoryPayload(data, canonical, par)
-}
-
-// decodeTrajectoryPayload validates a trajectory payload against the
-// queried problem, given by its canonical serialization, and params.
-// Shared by the JSON store and the pack reader (see decodeStepPayload).
-func decodeTrajectoryPayload(data, canonical []byte, par TrajectoryParams) (*fixpoint.Result, bool, error) {
-	var payload trajectoryPayload
-	if err := json.Unmarshal(data, &payload); err != nil {
-		return nil, false, fmt.Errorf("store: get trajectory: %w", err)
 	}
 	if payload.FPVersion != core.FingerprintVersion ||
 		payload.MaxSteps != par.MaxSteps || payload.MaxStates != par.MaxStates ||

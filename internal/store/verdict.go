@@ -82,22 +82,11 @@ func (s *Store) PutVerdict(in *core.Problem, par VerdictParams, result []byte) e
 // in under the exact params. Corrupt records surface their sentinel;
 // records whose embedded input or params disagree with the query are a
 // miss.
-func (s *Store) GetVerdict(in *core.Problem, par VerdictParams) ([]byte, bool, error) {
+func (r recordReader) GetVerdict(in *core.Problem, par VerdictParams) ([]byte, bool, error) {
 	canonical := in.CanonicalBytes()
-	data, ok, err := s.getRecord(KindVerdict, subKey(core.StableKeyOf(canonical), par.tag()))
-	if !ok || err != nil {
+	payload, ok, err := decode[verdictPayload](r, KindVerdict, subKey(core.StableKeyOf(canonical), par.tag()))
+	if !ok {
 		return nil, false, err
-	}
-	return decodeVerdictPayload(data, canonical, par)
-}
-
-// decodeVerdictPayload validates a verdict payload against the queried
-// problem, given by its canonical serialization, and params. Shared by
-// the JSON store and the pack reader (see decodeStepPayload).
-func decodeVerdictPayload(data, canonical []byte, par VerdictParams) ([]byte, bool, error) {
-	var payload verdictPayload
-	if err := json.Unmarshal(data, &payload); err != nil {
-		return nil, false, fmt.Errorf("store: get verdict: %w", err)
 	}
 	if payload.FPVersion != core.FingerprintVersion ||
 		payload.Problem != par.Problem || payload.Rounds != par.Rounds ||

@@ -1,11 +1,11 @@
 package synth
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/problems"
+	"repro/internal/problems/gen"
 )
 
 func TestKnownOneRoundCases(t *testing.T) {
@@ -43,12 +43,10 @@ O I
 // Π is 1-round solvable iff the derived Π'_1 is 0-round solvable. Random
 // problems over small alphabets are checked in both directions.
 func TestTheorem1AtTEquals1(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	checked := 0
-	for iter := 0; iter < 400 && checked < 120; iter++ {
-		p := randomProblem(rng, 2+rng.Intn(2), 0.5)
-		if p.Edge.Size() == 0 || p.Node.Size() == 0 {
-			continue
+	for i := range 120 {
+		p, err := gen.Random(11, i, gen.Params{Delta: 2, Labels: 2 + i%2, EdgePct: 50, NodePct: 50})
+		if err != nil {
+			t.Fatal(err)
 		}
 		derived, err := core.Speedup(p)
 		if err != nil {
@@ -60,13 +58,9 @@ func TestTheorem1AtTEquals1(t *testing.T) {
 		}
 		_, zeroRound := core.ZeroRoundSolvableWithOrientation(derived)
 		if oneRound != zeroRound {
-			t.Fatalf("iter %d: Theorem 1 equivalence violated: 1-round(Π)=%v, 0-round(Π'_1)=%v\nΠ:\n%s\nΠ'_1:\n%s",
-				iter, oneRound, zeroRound, p.String(), derived.String())
+			t.Fatalf("point %d: Theorem 1 equivalence violated: 1-round(Π)=%v, 0-round(Π'_1)=%v\nΠ:\n%s\nΠ'_1:\n%s",
+				i, oneRound, zeroRound, p.String(), derived.String())
 		}
-		checked++
-	}
-	if checked < 50 {
-		t.Fatalf("only %d usable random problems; generator too sparse", checked)
 	}
 }
 
@@ -74,35 +68,4 @@ func TestInfeasibleParametersRejected(t *testing.T) {
 	if _, err := OneRoundOrientedSolvable(problems.KColoring(3, 4)); err == nil {
 		t.Error("Δ=4 accepted")
 	}
-}
-
-// randomProblem mirrors the core test helper (kept local: internal test
-// helpers are not exported across packages).
-func randomProblem(rng *rand.Rand, alphabetSize int, density float64) *core.Problem {
-	names := make([]string, alphabetSize)
-	for i := range names {
-		names[i] = string(rune('a' + i))
-	}
-	alpha := core.MustAlphabet(names...)
-	edge := core.NewConstraint(2)
-	for i := 0; i < alphabetSize; i++ {
-		for j := i; j < alphabetSize; j++ {
-			if rng.Float64() < density {
-				edge.MustAdd(core.NewConfig(core.Label(i), core.Label(j)))
-			}
-		}
-	}
-	node := core.NewConstraint(2)
-	for i := 0; i < alphabetSize; i++ {
-		for j := i; j < alphabetSize; j++ {
-			if rng.Float64() < density {
-				node.MustAdd(core.NewConfig(core.Label(i), core.Label(j)))
-			}
-		}
-	}
-	p, err := core.NewProblem(alpha, edge, node)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
