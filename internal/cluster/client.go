@@ -48,8 +48,9 @@ func NewClient(timeout time.Duration) *Client {
 // connection failure, timeout, unexpected status, oversized response —
 // is an error; the caller counts it against the peer and degrades to
 // local computation. The returned frame is raw wire bytes: the caller
-// MUST validate it with the store's Decode*Record functions before
-// trusting a single byte.
+// MUST read it through store.FrameSource and a typed getter, which
+// validate the frame and the payload's embedded input before a single
+// byte is trusted.
 func (c *Client) FetchRecord(ctx context.Context, peer string, kind store.Kind, key core.StableFingerprint) ([]byte, bool, error) {
 	u := fmt.Sprintf("http://%s/v1/peer/record?key=%s&kind=%s", peer, key.String(), url.QueryEscape(kind.Ext()))
 	body, status, err := c.get(ctx, u)

@@ -37,10 +37,31 @@ func protoServer(t *testing.T) (*httptest.Server, *store.Store, *core.Problem, s
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	RegisterPeerRoutes(mux, RingInfo{Self: "self:1", Members: []string{"other:1", "self:1"}, VNodes: DefaultVNodes}, Sources(st, nil))
+	RegisterPeerRoutes(mux, RingInfo{Self: "self:1", Members: []string{"other:1", "self:1"}, VNodes: DefaultVNodes}, store.Chain(st.Source, nil))
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv, st, p, par
+}
+
+// keyOf returns the record key a typed getter derives for its query,
+// recorded by a source that holds nothing.
+func keyOf(get func(store.Source)) core.StableFingerprint {
+	var key core.StableFingerprint
+	get(func(_ store.Kind, k core.StableFingerprint) ([]byte, bool, error) {
+		key = k
+		return nil, false, nil
+	})
+	return key
+}
+
+// renderedKey is the key GetRendered derives for (p, par).
+func renderedKey(p *core.Problem, par store.TrajectoryParams) core.StableFingerprint {
+	return keyOf(func(src store.Source) { src.GetRendered(p, par) })
+}
+
+// stepKey is the key GetStep derives for (p, maxStates).
+func stepKey(p *core.Problem, maxStates int) core.StableFingerprint {
+	return keyOf(func(src store.Source) { src.GetStep(p, maxStates) })
 }
 
 // peerAddr strips the scheme from an httptest server URL, since peers
@@ -49,40 +70,46 @@ func peerAddr(srv *httptest.Server) string {
 	return srv.Listener.Addr().String()
 }
 
-// TestPeerRecordRoundTrip: a fetched frame decodes to exactly the
-// bytes the serving store holds, and misses are clean.
+// TestPeerRecordRoundTrip: a fetched frame is byte-identical to the
+// serving store's object file and reads back to exactly the record it
+// holds, and misses are clean.
 func TestPeerRecordRoundTrip(t *testing.T) {
 	srv, st, p, par := protoServer(t)
 	c := NewClient(2 * time.Second)
 	ctx := context.Background()
 
-	frame, ok, err := c.FetchRecord(ctx, peerAddr(srv), store.KindRendered, store.RenderedRecordKey(p, par))
+	key := renderedKey(p, par)
+	frame, ok, err := c.FetchRecord(ctx, peerAddr(srv), store.KindRendered, key)
 	if err != nil || !ok {
 		t.Fatalf("FetchRecord: ok=%v err=%v", ok, err)
 	}
-	body, ok, err := store.DecodeRenderedRecord(frame, p, par)
+	body, ok, err := store.FrameSource(frame).GetRendered(p, par)
 	if err != nil || !ok {
-		t.Fatalf("DecodeRenderedRecord: ok=%v err=%v", ok, err)
+		t.Fatalf("frame GetRendered: ok=%v err=%v", ok, err)
 	}
 	if string(body) != "rendered-response\n" {
 		t.Fatalf("body = %q", body)
 	}
-	localFrame, _, _ := st.RawRecord(store.KindRendered, store.RenderedRecordKey(p, par))
-	if !bytes.Equal(frame, localFrame) {
-		t.Fatal("wire frame differs from the store's frame")
+	name := key.String()
+	file, err := os.ReadFile(filepath.Join(st.Root(), "objects", name[:2], name+".rendered"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frame, file) {
+		t.Fatal("wire frame differs from the store's object file")
 	}
 
 	// Step record through the same wire.
-	frame, ok, err = c.FetchRecord(ctx, peerAddr(srv), store.KindStep, store.StepRecordKey(p, par.MaxStates))
+	frame, ok, err = c.FetchRecord(ctx, peerAddr(srv), store.KindStep, stepKey(p, par.MaxStates))
 	if err != nil || !ok {
 		t.Fatalf("step FetchRecord: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := store.DecodeStepRecord(frame, p, par.MaxStates); err != nil || !ok {
+	if _, ok, err := store.FrameSource(frame).GetStep(p, par.MaxStates); err != nil || !ok {
 		t.Fatalf("step decode: ok=%v err=%v", ok, err)
 	}
 
 	// Miss: the rendered record's key under a kind it is not stored as.
-	if _, ok, err := c.FetchRecord(ctx, peerAddr(srv), store.KindTrajectory, store.RenderedRecordKey(p, par)); ok || err != nil {
+	if _, ok, err := c.FetchRecord(ctx, peerAddr(srv), store.KindTrajectory, key); ok || err != nil {
 		t.Fatalf("miss: ok=%v err=%v", ok, err)
 	}
 }
@@ -128,7 +155,7 @@ func TestPeerServerRefusesCorruptLocalRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewClient(2 * time.Second)
-	if _, ok, err := c.FetchRecord(context.Background(), peerAddr(srv), store.KindRendered, store.RenderedRecordKey(p, par)); ok || err != nil {
+	if _, ok, err := c.FetchRecord(context.Background(), peerAddr(srv), store.KindRendered, renderedKey(p, par)); ok || err != nil {
 		t.Fatalf("corrupt local record served: ok=%v err=%v", ok, err)
 	}
 }
@@ -153,7 +180,7 @@ func TestFetchRecordDeadPeer(t *testing.T) {
 	addr := peerAddr(srv)
 	srv.Close()
 	c := NewClient(500 * time.Millisecond)
-	if _, ok, err := c.FetchRecord(context.Background(), addr, store.KindRendered, store.RenderedRecordKey(p, par)); ok || err == nil {
+	if _, ok, err := c.FetchRecord(context.Background(), addr, store.KindRendered, renderedKey(p, par)); ok || err == nil {
 		t.Fatalf("dead peer: ok=%v err=%v", ok, err)
 	}
 }
@@ -167,7 +194,7 @@ func TestFetchRecordServerError(t *testing.T) {
 	c := NewClient(time.Second)
 	p := protoProblem(t)
 	par := store.TrajectoryParams{MaxSteps: 2, MaxStates: 8000}
-	if _, ok, err := c.FetchRecord(context.Background(), peerAddr(srv), store.KindRendered, store.RenderedRecordKey(p, par)); ok || err == nil {
+	if _, ok, err := c.FetchRecord(context.Background(), peerAddr(srv), store.KindRendered, renderedKey(p, par)); ok || err == nil {
 		t.Fatalf("500 response: ok=%v err=%v", ok, err)
 	}
 }

@@ -9,46 +9,6 @@ import (
 	"repro/internal/store"
 )
 
-// RecordSource serves complete framed record bytes by (kind, key) —
-// the read surface the peer protocol exports. Both *store.Store and
-// *store.PackReader satisfy it via their RawRecord methods. A source
-// must only ever return frames that validate (the store side
-// guarantees this); the client re-verifies regardless.
-type RecordSource interface {
-	// RawRecord returns the validated framed record under (kind, key),
-	// ok=false when absent, and an error when the local copy exists but
-	// cannot be trusted.
-	RawRecord(kind store.Kind, key core.StableFingerprint) ([]byte, bool, error)
-}
-
-// Sources chains record sources into one, consulted in order until a
-// source reports a hit. Errors (a corrupt local record) fall through
-// to the next source: a damaged tier costs warmth, never availability.
-// Nil entries are skipped, so callers can pass optional tiers
-// unconditionally.
-func Sources(srcs ...RecordSource) RecordSource {
-	chain := make(sourceChain, 0, len(srcs))
-	for _, s := range srcs {
-		if s != nil {
-			chain = append(chain, s)
-		}
-	}
-	return chain
-}
-
-// sourceChain is the Sources implementation.
-type sourceChain []RecordSource
-
-// RawRecord consults each source in order, returning the first hit.
-func (c sourceChain) RawRecord(kind store.Kind, key core.StableFingerprint) ([]byte, bool, error) {
-	for _, s := range c {
-		if frame, ok, err := s.RawRecord(kind, key); ok && err == nil {
-			return frame, true, nil
-		}
-	}
-	return nil, false, nil
-}
-
 // RingInfo is the GET /v1/peer/ring response body: the static
 // membership a node was configured with. Peers exchange it to detect
 // configuration drift — a fleet is only a consistent cache when every
@@ -69,18 +29,23 @@ type RingInfo struct {
 //	GET /v1/peer/ring
 //
 // The record endpoint replies 200 with the complete framed record
-// bytes (application/octet-stream) on a hit, 404 on a miss — including
-// when the local copy exists but fails validation, so a node never
-// ships bytes that were damaged on its own disk — and 400 for a
-// malformed key or kind. The ring endpoint replies with info as JSON.
-// The protocol is read-only by construction: peers exchange cache
-// contents, never commands.
-func RegisterPeerRoutes(mux *http.ServeMux, info RingInfo, src RecordSource) {
+// bytes (application/octet-stream) from src's RawRecord on a hit, 404
+// on a miss — including when the local copy exists but fails
+// validation, so a node never ships bytes that were damaged on its own
+// disk, and when src is nil (a member with no local records) — and 400
+// for a malformed key or kind. The ring endpoint replies with info as
+// JSON. The protocol is read-only by construction: peers exchange
+// cache contents, never commands.
+func RegisterPeerRoutes(mux *http.ServeMux, info RingInfo, src store.Source) {
 	mux.HandleFunc("GET /v1/peer/record", func(w http.ResponseWriter, r *http.Request) {
 		key, kindOK := parseRecordQuery(r)
 		kind, ok := store.KindByExt(r.URL.Query().Get("kind"))
 		if !kindOK || !ok {
 			http.Error(w, "bad key or kind", http.StatusBadRequest)
+			return
+		}
+		if src == nil {
+			http.NotFound(w, r)
 			return
 		}
 		frame, ok, err := src.RawRecord(kind, key)

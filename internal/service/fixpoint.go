@@ -142,7 +142,11 @@ func (e *Engine) lookupFixpoint(req FixpointRequest) (body []byte, miss *fixpoin
 		return nil, nil, err
 	}
 	params := store.TrajectoryParams{MaxSteps: maxSteps, MaxStates: req.MaxStates}
-	body, ok := e.lookupRendered(p, params)
+	// One outcome for the whole local chain: a damaged record that no
+	// tier could replace counts corrupt. Any failure degrades to a
+	// miss: the owner or the step replay answers, never a damaged body.
+	body, ok, err := lookup(e, recordTier.GetRendered, p, params)
+	e.metrics.warmLookup("rendered", warmOutcome(ok, err))
 	if !ok {
 		// Every local tier missed: ask the key's ring owner before
 		// computing cold (no-op for a solo engine). A peer-served body
@@ -162,30 +166,6 @@ func (e *Engine) lookupFixpoint(req FixpointRequest) (body []byte, miss *fixpoin
 func fixpointFlightKey(p *core.Problem, params store.TrajectoryParams) string {
 	return fmt.Sprintf("fixpoint|%s|max_steps=%d|max_states=%d",
 		core.StableKey(p), params.MaxSteps, params.MaxStates)
-}
-
-// lookupRendered consults the rendered records of the record tiers —
-// the preloaded pack, then the sink — and folds every consult into one
-// "rendered" warm-lookup outcome (at most one outcome per request for
-// the tier, with "corrupt" reported if any consulted record failed
-// validation). Failures of any kind degrade to a miss: the caller asks
-// the ring owner or replays the steps, never serves a damaged body.
-func (e *Engine) lookupRendered(p *core.Problem, params store.TrajectoryParams) ([]byte, bool) {
-	corrupt := false
-	for _, t := range e.tiers {
-		body, ok, err := t.GetRendered(p, params)
-		if ok {
-			e.metrics.warmLookup("rendered", "hit")
-			return body, true
-		}
-		corrupt = corrupt || err != nil
-	}
-	if corrupt {
-		e.metrics.warmLookup("rendered", "corrupt")
-	} else {
-		e.metrics.warmLookup("rendered", "miss")
-	}
-	return nil, false
 }
 
 // computeFixpoint runs the driver under the admission gate, emitting

@@ -76,12 +76,13 @@ type peerKey struct {
 var peerOutcomes = []string{"hit", "miss", "corrupt", "unreachable", "skipped"}
 
 // warmTiers are the warm-lookup record tiers instrumented by the
-// engine: the preloaded pack artifact, the sink's full steps,
-// pre-rendered response bodies and rendered verdicts, in-process half
-// steps, and the in-process per-budget memo of state-budget failures
-// (consulted after a step-memo miss, matched up to label renaming).
-// The "rendered" tier folds its whole chain — in-process memo, pack
-// record, sink record — into at most one outcome per request; a
+// engine: the preloaded pack artifact (its step and verdict records),
+// the sink's full steps, pre-rendered response bodies and rendered
+// verdicts, in-process half steps, and the in-process per-budget memo
+// of state-budget failures (consulted after a step-memo miss, matched
+// up to label renaming). The "rendered" tier folds its whole chain —
+// in-process memo, pack record, sink record — into exactly one outcome
+// per request that reaches it; a
 // memory-only sink keeps no rendered records, so there only the memo
 // hits. A request the rendered tier misses replays its steps:
 // trajectory records are committed for cmd/sweep's checkpoints, and
@@ -93,6 +94,10 @@ var warmTiers = []string{"pack", "step", "rendered", "verdict", "half", "failure
 // record failed validation (checksum, truncation, or version mismatch)
 // — the serve path degrades to recomputation in both fall-through
 // cases, but "corrupt" is the operator's signal to re-sweep or re-pack.
+// The pack, step and verdict tiers count at the fetch, before the
+// typed getter's collision guard: a validated record the guard rejects
+// (a hash collision or a foreign file) counts as that tier's hit, and
+// the lookup still misses.
 var warmOutcomes = []string{"hit", "miss", "corrupt"}
 
 // warmOutcome folds a warm-tier (ok, err) lookup result into its
@@ -362,7 +367,7 @@ func Routes(e *Engine, m *Metrics) http.Handler {
 	}
 	mux.Handle("GET /metrics", m.reg.Handler())
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Stats(e))
+		writeJSON(w, http.StatusOK, m.Stats())
 	})
 	return m.Instrument(mux)
 }
@@ -471,9 +476,8 @@ type StreamStat struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// Stats assembles the current snapshot. The engine parameter is
-// accepted for future engine-level fields and may be nil.
-func (m *Metrics) Stats(e *Engine) Stats {
+// Stats assembles the current snapshot.
+func (m *Metrics) Stats() Stats {
 	m.mu.Lock()
 	reqKeys := make([]requestKey, 0, len(m.requests))
 	for k := range m.requests {

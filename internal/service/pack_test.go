@@ -44,9 +44,9 @@ func servePack(t *testing.T, dir string, pr *store.PackReader) (*Engine, *Metric
 }
 
 // tierStat returns the named tier's row from the stats snapshot.
-func tierStat(t *testing.T, m *Metrics, e *Engine, tier string) StoreStat {
+func tierStat(t *testing.T, m *Metrics, _ *Engine, tier string) StoreStat {
 	t.Helper()
-	for _, row := range m.Stats(e).Store {
+	for _, row := range m.Stats().Store {
 		if row.Tier == tier {
 			return row
 		}

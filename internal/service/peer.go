@@ -112,107 +112,92 @@ func (pt *peerTier) observe(peer string, reachable bool) {
 	}
 }
 
-// peerLookup runs one owner-directed record fetch: resolve the owner
-// of problem p on the ring, skip the lookup when the owner is this
-// node or its breaker is open, fetch the frame within the per-peer
-// budget, and hand it to decode — which must re-validate everything
-// (the store's Decode*Record functions do). Exactly one outcome is
-// counted per call ("hit", "miss", "corrupt", "unreachable", or
-// "skipped"), and the return value is true only for a fully validated
-// hit. Every other path degrades to local computation.
-func (e *Engine) peerLookup(p *core.Problem, kind store.Kind, key core.StableFingerprint, decode func(frame []byte) (bool, error)) bool {
+// peerGet reads one record from the ring owner of problem p through
+// the typed getter get, over a source that fetches the owner's frame
+// within the per-peer budget and reads it through store.FrameSource,
+// so the frame and the payload's embedded input are re-validated
+// before a byte is used. It returns at once, deriving nothing, for a
+// solo engine or a problem this node owns. Otherwise exactly one
+// outcome is counted ("hit", "miss", "corrupt", "unreachable", or
+// "skipped" while the owner's breaker is open), and ok is true only
+// for a fully validated hit. Every other path degrades to local
+// computation.
+func peerGet[P, V any](e *Engine, get func(recordTier, *core.Problem, P) (V, bool, error), p *core.Problem, par P) (V, bool) {
+	var zero V
 	pt := e.peers
 	if pt == nil {
-		return false
+		return zero, false
 	}
 	peer := pt.ring.Owner(core.StableKey(p))
 	if peer == pt.self {
-		return false
+		return zero, false
 	}
 	if !pt.available(peer) {
 		e.metrics.peerLookup(peer, "skipped")
-		return false
+		return zero, false
 	}
-	ctx, cancel := context.WithTimeout(e.runCtx, pt.timeout)
-	defer cancel()
-	frame, ok, err := pt.client.FetchRecord(ctx, peer, kind, key)
-	if err != nil {
-		pt.observe(peer, false)
-		e.metrics.peerLookup(peer, "unreachable")
-		return false
+	outcome := "miss"
+	v, ok, _ := get(store.Source(func(kind store.Kind, key core.StableFingerprint) ([]byte, bool, error) {
+		ctx, cancel := context.WithTimeout(e.runCtx, pt.timeout)
+		defer cancel()
+		frame, ok, err := pt.client.FetchRecord(ctx, peer, kind, key)
+		pt.observe(peer, err == nil)
+		if err != nil {
+			outcome = "unreachable"
+			return nil, false, nil
+		}
+		if !ok {
+			return nil, false, nil
+		}
+		// A frame that fails validation or the embedded-input guard is
+		// a byzantine (or version-skewed) peer: counted corrupt unless
+		// the getter accepts it, and its bytes are discarded.
+		outcome = "corrupt"
+		return store.FrameSource(frame)(kind, key)
+	}), p, par)
+	if ok {
+		outcome = "hit"
 	}
-	pt.observe(peer, true)
-	if !ok {
-		e.metrics.peerLookup(peer, "miss")
-		return false
-	}
-	ok, derr := decode(frame)
-	if derr != nil || !ok {
-		// The peer answered with bytes that fail frame validation or
-		// the embedded-input guard: a byzantine (or version-skewed)
-		// peer, degraded to a miss. The bytes are discarded.
-		e.metrics.peerLookup(peer, "corrupt")
-		return false
-	}
-	e.metrics.peerLookup(peer, "hit")
-	return true
+	e.metrics.peerLookup(peer, outcome)
+	return v, ok
 }
 
 // peerStep fetches the memoized speedup step for in from its owner,
 // backfilling the sink on a hit so the answer is served locally from
 // then on.
 func (e *Engine) peerStep(in *core.Problem, maxStates int) (*core.Problem, bool) {
-	var out *core.Problem
-	hit := e.peerLookup(in, store.KindStep, store.StepRecordKey(in, maxStates), func(frame []byte) (bool, error) {
-		p, ok, err := store.DecodeStepRecord(frame, in, maxStates)
-		out = p
-		return ok, err
-	})
-	if !hit {
-		return nil, false
+	out, ok := peerGet(e, recordTier.GetStep, in, maxStates)
+	if ok {
+		// Failed commits only cost warmth, never correctness.
+		_ = e.sink.PutStep(in, out, maxStates)
 	}
-	// Failed commits only cost warmth, never correctness.
-	_ = e.sink.PutStep(in, out, maxStates)
-	return out, true
+	return out, ok
 }
 
 // peerFixpoint asks the owner of problem p for its pre-rendered body
 // after every local tier missed. A hit backfills the sink's rendered
 // record, so one peer fetch makes the answer local.
 func (e *Engine) peerFixpoint(p *core.Problem, params store.TrajectoryParams) ([]byte, bool) {
-	if e.peers == nil {
-		return nil, false
+	body, ok := peerGet(e, recordTier.GetRendered, p, params)
+	if ok {
+		_ = e.sink.PutRendered(p, params, body)
 	}
-	var body []byte
-	if !e.peerLookup(p, store.KindRendered, store.RenderedRecordKey(p, params), func(frame []byte) (bool, error) {
-		b, ok, err := store.DecodeRenderedRecord(frame, p, params)
-		body = b
-		return ok, err
-	}) {
-		return nil, false
-	}
-	_ = e.sink.PutRendered(p, params, body)
-	return body, true
+	return body, ok
 }
 
 // registerPeerRoutes mounts the peer protocol endpoints when the
-// engine is clustered: records are served from the same local tiers
-// queries read (pack first, then store), and the ring endpoint
-// publishes this node's static membership. No-op for a solo engine.
+// engine is clustered: records are served from the same local sources
+// queries read (the pack, then the store), uncounted, and the ring
+// endpoint publishes this node's static membership. No-op for a solo
+// engine.
 func (e *Engine) registerPeerRoutes(mux *http.ServeMux) {
 	if e.peers == nil {
 		return
 	}
-	var srcs []cluster.RecordSource
-	if e.pk != nil {
-		srcs = append(srcs, e.pk)
-	}
-	if e.st != nil {
-		srcs = append(srcs, e.st)
-	}
+	pack, disk := e.localSources()
 	cluster.RegisterPeerRoutes(mux, cluster.RingInfo{
 		Self:    e.peers.self,
 		Members: e.peers.ring.Members(),
 		VNodes:  e.peers.ring.VNodes(),
-	}, cluster.Sources(srcs...))
+	}, store.Chain(pack, disk))
 }

@@ -123,7 +123,7 @@ func queryFixpoint(t *testing.T, url string, p *core.Problem) []byte {
 
 // peerStat returns a node's accumulated outcomes against one peer.
 func peerStat(n *clusterNode, peer string) PeerStat {
-	for _, ps := range n.m.Stats(n.e).Peers {
+	for _, ps := range n.m.Stats().Peers {
 		if ps.Peer == peer {
 			return ps
 		}

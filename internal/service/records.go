@@ -8,10 +8,12 @@ import (
 	"repro/internal/store"
 )
 
-// recordTier is one source of warm records: the preloaded pack, the
-// persistent store, or a memory-only engine's memRecords. A record
-// that fails validation (checksum, truncation, version) comes back as
-// an error, which the serve path degrades to a miss.
+// recordTier is one source of warm records: the chain of the
+// preloaded pack and the persistent store (a store.Source), a
+// memory-only engine's memRecords, or, through peerGet, a key's ring
+// owner. A record that fails validation (checksum, truncation,
+// version) comes back as an error, which the serve path degrades to a
+// miss.
 type recordTier interface {
 	GetStep(in *core.Problem, maxStates int) (*core.Problem, bool, error)
 	GetRendered(in *core.Problem, par store.TrajectoryParams) ([]byte, bool, error)
@@ -29,24 +31,47 @@ type recordSink interface {
 	PutVerdict(in *core.Problem, par store.VerdictParams, result []byte) error
 }
 
-// lookup walks the engine's record tiers in order (the pack, then the
-// sink) for one record kind and returns the first hit. It counts one
-// warm-lookup outcome per tier consulted: "pack" for the pack, tier for
-// the sink.
-func lookup[P, V any](e *Engine, tier string, get func(recordTier, *core.Problem, P) (V, bool, error), in *core.Problem, par P) (V, bool) {
-	for i, t := range e.tiers {
+// lookup reads one record through the engine's local tiers in order —
+// the chain of the pack and the store, then a memory-only engine's
+// memRecords — and returns the first hit; err reports a damaged record
+// when no tier hit. Each tier counts its own warm-lookup outcomes (see
+// countedSource and memRecords).
+func lookup[P, V any](e *Engine, get func(recordTier, *core.Problem, P) (V, bool, error), in *core.Problem, par P) (V, bool, error) {
+	var damaged error
+	for _, t := range e.tiers {
 		v, ok, err := get(t, in, par)
-		if i < len(e.tiers)-1 {
-			e.metrics.warmLookup("pack", warmOutcome(ok, err))
-		} else {
-			e.metrics.warmLookup(tier, warmOutcome(ok, err))
-		}
 		if ok {
-			return v, true
+			return v, true, nil
+		}
+		if damaged == nil {
+			damaged = err
 		}
 	}
 	var zero V
-	return zero, false
+	return zero, false, damaged
+}
+
+// countedSource wraps a local record source so that each step or
+// verdict fetch counts one warm-lookup outcome: under "pack" for the
+// pack, under the kind's own tier ("step", "verdict") for the store.
+// Rendered fetches are left to lookupFixpoint, which folds the whole
+// rendered chain into one outcome per request.
+func (m *Metrics) countedSource(src store.Source, pack bool) store.Source {
+	if m == nil || src == nil {
+		return src
+	}
+	return func(kind store.Kind, key core.StableFingerprint) ([]byte, bool, error) {
+		payload, ok, err := src(kind, key)
+		switch {
+		case kind == store.KindRendered:
+			// Counted once per request by lookupFixpoint.
+		case pack:
+			m.warmLookup("pack", warmOutcome(ok, err))
+		default:
+			m.warmLookup(kind.Ext(), warmOutcome(ok, err))
+		}
+		return payload, ok, err
+	}
 }
 
 // stepMemo is the fixpoint.Memo of one state budget: the record tiers,
@@ -59,7 +84,7 @@ type stepMemo struct {
 
 // LookupStep consults the record tiers, then the owning peer.
 func (m stepMemo) LookupStep(in *core.Problem) (*core.Problem, bool) {
-	if out, ok := lookup(m.e, "step", recordTier.GetStep, in, m.maxStates); ok {
+	if out, ok, _ := lookup(m.e, recordTier.GetStep, in, m.maxStates); ok {
 		return out, true
 	}
 	return m.e.peerStep(in, m.maxStates)
@@ -72,15 +97,17 @@ func (m stepMemo) StoreStep(in, out *core.Problem) { _ = m.e.sink.PutStep(in, ou
 // engine's steps and verdicts, and every engine's half steps.
 const maxMemRecords = 4096
 
-// memRecords is the record sink of a memory-only engine. It keeps
-// decoded steps, keyed like fixpoint.MapMemo by canonical input but
-// with the budget alongside, and rendered verdicts, each map under
-// maxMemRecords entries. It keeps no trajectories and no rendered
+// memRecords is the record sink of a memory-only engine and its last
+// record tier. It keeps decoded steps, keyed like fixpoint.MapMemo by
+// canonical input but with the budget alongside, and rendered
+// verdicts, each map under maxMemRecords entries, and counts its own
+// step and verdict lookups. It keeps no trajectories and no rendered
 // records: the raw-text rendered memo is memory mode's fixpoint tier,
 // and a repeat that misses it replays its steps from the step map.
 type memRecords struct {
 	steps    *boundedMap[stepKey, *core.Problem]
 	verdicts *boundedMap[store.VerdictParams, []byte]
+	metrics  *Metrics
 }
 
 // stepKey identifies a memory-mode step: its input's canonical bytes
@@ -94,6 +121,7 @@ type stepKey struct {
 // GetStep returns the step stored for in under maxStates.
 func (m memRecords) GetStep(in *core.Problem, maxStates int) (*core.Problem, bool, error) {
 	out, ok := m.steps.get(stepKey{string(in.CanonicalBytes()), maxStates})
+	m.metrics.warmLookup("step", warmOutcome(ok, nil))
 	return out, ok, nil
 }
 
@@ -120,6 +148,7 @@ func (memRecords) PutRendered(*core.Problem, store.TrajectoryParams, []byte) err
 // the store folds into its record key.
 func (m memRecords) GetVerdict(_ *core.Problem, par store.VerdictParams) ([]byte, bool, error) {
 	body, ok := m.verdicts.get(par)
+	m.metrics.warmLookup("verdict", warmOutcome(ok, nil))
 	return body, ok, nil
 }
 

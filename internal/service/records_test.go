@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/problems"
 )
 
 // TestBoundedMapNewKeyAtCapClears: a new key put into a full map clears
@@ -163,4 +165,36 @@ func TestPeerStepBackfillsMemoryOnly(t *testing.T) {
 	if st := tierStat(t, nodes[1].m, nodes[1].e, "step"); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("step tier %+v, want one miss (then the peer) and one hit from the backfilled step", st)
 	}
+}
+
+// keySink keeps the baseline's map key alive, so the compiler cannot
+// drop the serialization it measures.
+var keySink stepKey
+
+// TestStepMemoMissDerivesNoRecordKey: on a memory-only engine without
+// peers, a step-memo miss allocates no more than serializing its input
+// into the memory map's key, plus a small constant: it derives no
+// record key, neither for a local tier nor for a peer path the engine
+// does not have.
+func TestStepMemoMissDerivesNoRecordKey(t *testing.T) {
+	e, err := New(Config{Metrics: NewMetrics()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Close() })
+	p := problems.SinklessOrientation(3)
+	memo := stepMemo{e: e, maxStates: peerTestMaxStates}
+	baseline := testing.AllocsPerRun(50, func() {
+		keySink = stepKey{string(p.CanonicalBytes()), peerTestMaxStates}
+	})
+	miss := testing.AllocsPerRun(50, func() {
+		if _, ok := memo.LookupStep(p); ok {
+			t.Fatal("step-memo hit on an empty engine")
+		}
+	})
+	const slack = 2
+	if miss > baseline+slack {
+		t.Fatalf("step-memo miss: %.0f allocs/op, want at most the map key's %.0f + %d", miss, baseline, slack)
+	}
+	t.Logf("step-memo miss: %.0f allocs/op; map key: %.0f", miss, baseline)
 }

@@ -26,7 +26,9 @@
 //     — the same contract cmd/sweep relies on for its resume-after-kill
 //     reports. A preloaded pack artifact (Config.Pack,
 //     built by cmd/sweep -pack) adds a read-only warm tier consulted
-//     before the store, with the same byte-identity guarantee.
+//     before the store, with the same byte-identity guarantee; the two
+//     are read as one store.Source chain, so a lookup derives its
+//     record key once.
 //
 // Admission control: actual engine computations (speedup enumeration,
 // fixpoint iteration, oracle search) pass through a par.Gate bounding
@@ -108,7 +110,7 @@ type Engine struct {
 	st      *store.Store      // nil = memory-only
 	pk      *store.PackReader // nil = no preloaded pack tier
 	sink    recordSink        // st, or memRecords when memory-only
-	tiers   []recordTier      // lookup order: pk (when attached), then sink
+	tiers   []recordTier      // lookup order: the chain of pk and st, then memRecords
 	gate    *par.Gate
 	workers int
 	metrics *Metrics  // nil = unobserved
@@ -165,19 +167,36 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		e.st, e.sink = st, st
-	} else {
-		e.sink = memRecords{
+	}
+	// One chain reads the pack, then the store, under one record key;
+	// each source counts its own consults.
+	pack, disk := e.localSources()
+	if src := store.Chain(e.metrics.countedSource(pack, true), e.metrics.countedSource(disk, false)); src != nil {
+		e.tiers = append(e.tiers, src)
+	}
+	if e.st == nil {
+		mem := memRecords{
 			steps:    newBoundedMap[stepKey, *core.Problem](maxMemRecords),
 			verdicts: newBoundedMap[store.VerdictParams, []byte](maxMemRecords),
+			metrics:  e.metrics,
 		}
+		e.sink = mem
+		e.tiers = append(e.tiers, mem)
 	}
-	// A nil *PackReader in an interface is not nil: check before adding.
-	if e.pk != nil {
-		e.tiers = append(e.tiers, e.pk)
-	}
-	e.tiers = append(e.tiers, e.sink)
 	e.runCtx, e.stop = context.WithCancel(context.Background())
 	return e, nil
+}
+
+// localSources returns the engine's pack and store as record sources,
+// each nil when absent.
+func (e *Engine) localSources() (pack, disk store.Source) {
+	if e.pk != nil {
+		pack = e.pk.Source
+	}
+	if e.st != nil {
+		disk = e.st.Source
+	}
+	return pack, disk
 }
 
 // Store returns the engine's persistent store handle; nil in

@@ -111,7 +111,7 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*VerifyResponse
 	// cannot drift from the store-record identity the way a
 	// hand-written field list could.
 	key := fmt.Sprintf("verify|%s|%+v", core.StableKey(p), params)
-	body, ok := lookup(e, "verdict", recordTier.GetVerdict, p, params)
+	body, ok, _ := lookup(e, recordTier.GetVerdict, p, params)
 	if ok {
 		return &VerifyResponse{Negative: negativeOf(body), Body: body}, nil
 	}

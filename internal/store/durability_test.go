@@ -47,7 +47,7 @@ func TestWriteAtomicSyncFailure(t *testing.T) {
 	if !errors.Is(err, injected) {
 		t.Fatalf("PutStep = %v, want injected fsync error", err)
 	}
-	if _, err := os.Stat(s.objectPath(KindStep, StepRecordKey(in, 0))); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.objectPath(KindStep, stepKey(in.CanonicalBytes(), 0))); !os.IsNotExist(err) {
 		t.Fatalf("final object exists after failed sync (stat err %v)", err)
 	}
 	if residue := tempResidue(t, s); len(residue) != 0 {
@@ -68,7 +68,7 @@ func TestWriteAtomicRenameFailure(t *testing.T) {
 	if _, err := putTarget(t, s, in); !errors.Is(err, injected) {
 		t.Fatalf("PutStep = %v, want injected rename error", err)
 	}
-	if _, err := os.Stat(s.objectPath(KindStep, StepRecordKey(in, 0))); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.objectPath(KindStep, stepKey(in.CanonicalBytes(), 0))); !os.IsNotExist(err) {
 		t.Fatalf("final object exists after failed rename (stat err %v)", err)
 	}
 	if residue := tempResidue(t, s); len(residue) != 0 {
@@ -110,7 +110,7 @@ func TestWriteAtomicSyncsDirectory(t *testing.T) {
 	if _, err := putTarget(t, s, in); err != nil {
 		t.Fatal(err)
 	}
-	want := filepath.Dir(s.objectPath(KindStep, StepRecordKey(in, 0)))
+	want := filepath.Dir(s.objectPath(KindStep, stepKey(in.CanonicalBytes(), 0)))
 	if len(synced) != 1 || synced[0] != want {
 		t.Fatalf("directory syncs = %v, want exactly [%s]", synced, want)
 	}

@@ -448,7 +448,7 @@ func TestPackSkipsCorruptRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := s.objectPath(KindStep, StepRecordKey(in, 0))
+	victim := s.objectPath(KindStep, stepKey(in.CanonicalBytes(), 0))
 	data, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)

@@ -4,10 +4,10 @@ package store
 // packed warm-cache artifact (see pack.go for the format). OpenPack
 // validates the whole file once — magic, versions, SHA-256, section
 // geometry, entry bounds, key order — so lookups afterwards never
-// re-verify and never fail, they only hit or miss. The reader's typed
-// getters are the Store's own (recordReader) over a binary search of
-// the key table, which is what makes a pack-served reply byte-identical
-// to a JSON-store or cold reply for the same query.
+// re-verify and never fail, they only hit or miss. The reader is a
+// Source over a binary search of the key table, so its typed getters
+// are the Store's own, which is what makes a pack-served reply
+// byte-identical to a JSON-store or cold reply for the same query.
 
 import (
 	"bytes"
@@ -27,7 +27,7 @@ import (
 // lookups (a lookup against a closed reader degrades to a miss, never
 // touches unmapped memory).
 type PackReader struct {
-	recordReader
+	Source // lookup: a binary search of the key table
 	mu     sync.RWMutex
 	data   []byte       // the whole file: mmap-backed or heap-backed
 	unmap  func() error // non-nil when data is a live mapping
@@ -117,7 +117,7 @@ func parsePack(data []byte) (*PackReader, error) {
 	entries := data[off : off+count*packEntrySize]
 	off += count * packEntrySize
 	pr := &PackReader{data: data, count: int(count), keys: keys, entries: entries, payloads: data[off : off+dataLen]}
-	pr.recordReader = pr.lookup
+	pr.Source = pr.lookup
 	// Bounds-check every entry once, so lookups can slice the data
 	// section without rechecking, and check the key order binary search
 	// relies on.
@@ -164,7 +164,7 @@ func (pr *PackReader) Close() error {
 // Len returns the number of records in the pack.
 func (pr *PackReader) Len() int { return pr.count }
 
-// lookup is the pack's recordReader: a copy of the payload stored
+// lookup is the pack's Source: a copy of the payload stored
 // under (kind, key). The copy is deliberate: returned payloads outlive
 // the reader (a serve path may still be rendering after the engine —
 // and the mapping — is closed), so nothing returned may alias the

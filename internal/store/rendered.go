@@ -54,9 +54,9 @@ func (s *Store) PutRendered(in *core.Problem, par TrajectoryParams, body []byte)
 // sentinel; records whose embedded input or params disagree with the
 // query are a miss — in both cases the caller degrades to replaying
 // the steps (or recomputing), never to a wrong body.
-func (r recordReader) GetRendered(in *core.Problem, par TrajectoryParams) ([]byte, bool, error) {
+func (src Source) GetRendered(in *core.Problem, par TrajectoryParams) ([]byte, bool, error) {
 	canonical := in.CanonicalBytes()
-	payload, ok, err := decode[renderedPayload](r, KindRendered, subKey(core.StableKeyOf(canonical), renderedTag(par)))
+	payload, ok, err := decode[renderedPayload](src, KindRendered, subKey(core.StableKeyOf(canonical), renderedTag(par)))
 	if !ok {
 		return nil, false, err
 	}

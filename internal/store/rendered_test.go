@@ -122,8 +122,8 @@ func TestRenderedPackRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzRenderedRecord fuzzes the rendered-record frame getter
-// (DecodeRenderedRecord, the typed getter every record source shares):
+// FuzzRenderedRecord fuzzes the rendered-record getter over one frame
+// (FrameSource, under the typed getter every record source shares):
 // arbitrary bytes in place of a committed record must either decode to
 // the exact committed body or fail closed (miss/sentinel) — never
 // panic, never return ok with a different body. This is the
@@ -146,7 +146,7 @@ func FuzzRenderedRecord(f *testing.F) {
 	f.Add(mut)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, ok, err := DecodeRenderedRecord(data, in, par)
+		got, ok, err := FrameSource(data).GetRendered(in, par)
 		if err != nil || !ok {
 			return // fail-closed: the serve path counts it and replays the steps
 		}

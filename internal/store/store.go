@@ -45,12 +45,14 @@ import (
 	"repro/internal/fixpoint"
 )
 
-// Store is a handle to one store directory. The zero value is not
-// usable; call Open. A Store is safe for concurrent use by multiple
-// goroutines (and the directory by multiple processes).
+// Store is a handle to one store directory. Its embedded Source reads
+// object files, so its typed getters and RawRecord are the ones every
+// record source shares. The zero value is not usable; call Open. A
+// Store is safe for concurrent use by multiple goroutines (and the
+// directory by multiple processes).
 type Store struct {
-	recordReader
-	root string
+	Source // readObject: the validated payload of one object file
+	root   string
 }
 
 // Open initializes (creating directories as needed) and returns the
@@ -63,7 +65,7 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
 	s := &Store{root: dir}
-	s.recordReader = s.payload
+	s.Source = s.readObject
 	return s, nil
 }
 
@@ -81,32 +83,21 @@ func (s *Store) putRecord(kind Kind, key core.StableFingerprint, payload []byte)
 	return writeAtomic(s.objectPath(kind, key), encodeRecord(kind, payload))
 }
 
-// recordReader fetches the validated payload stored under (kind, key)
-// from one record source: ok is false when there is none, and a
-// damaged record reports its corruption sentinel. Its methods are the
-// typed getters of every source — GetStep, GetTrajectory, GetRendered
-// and GetVerdict, each written once. A getter derives the record key
-// from its query, fetches the payload and runs the collision guard: a
-// payload whose embedded input or parameters disagree with the query
-// is a miss, never a wrong result. *Store fetches object files,
-// *PackReader binary-searches its key table, and the Decode*Record
-// functions read the one frame a peer shipped, so every source answers
-// identical payload bytes identically.
-type recordReader func(kind Kind, key core.StableFingerprint) ([]byte, bool, error)
-
-// decode fetches the payload under (kind, key) through r and
-// unmarshals it into a new P, which only a hit allocates. ok is false
-// when the record is absent or damaged.
-func decode[P any](r recordReader, kind Kind, key core.StableFingerprint) (*P, bool, error) {
-	payload, ok, err := r(kind, key)
-	if !ok {
+// readObject is the store's Source: the payload of the object file
+// under (kind, key), read and validated.
+func (s *Store) readObject(kind Kind, key core.StableFingerprint) ([]byte, bool, error) {
+	data, err := os.ReadFile(s.objectPath(kind, key))
+	if os.IsNotExist(err) {
+		return nil, false, nil
+	}
+	if err != nil {
 		return nil, false, err
 	}
-	rec := new(P)
-	if err := json.Unmarshal(payload, rec); err != nil {
-		return nil, false, fmt.Errorf("store: decode %s record: %w", kind.Ext(), err)
+	payload, err := decodeRecord(data, kind)
+	if err != nil {
+		return nil, false, err
 	}
-	return rec, true, nil
+	return payload, true, nil
 }
 
 // stepPayload is the JSON payload of a KindStep record. Input and
@@ -154,9 +145,9 @@ func (s *Store) PutStep(in, out *core.Problem, maxStates int) error {
 // reported via one of the corruption sentinels; a record whose embedded
 // input or budget does not match the query (hash collision, foreign
 // file) is a miss.
-func (r recordReader) GetStep(in *core.Problem, maxStates int) (*core.Problem, bool, error) {
+func (src Source) GetStep(in *core.Problem, maxStates int) (*core.Problem, bool, error) {
 	canonical := in.CanonicalBytes()
-	rec, ok, err := decode[stepPayload](r, KindStep, stepKey(canonical, maxStates))
+	rec, ok, err := decode[stepPayload](src, KindStep, stepKey(canonical, maxStates))
 	if !ok {
 		return nil, false, err
 	}

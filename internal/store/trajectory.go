@@ -83,9 +83,9 @@ func (s *Store) PutTrajectory(in *core.Problem, par TrajectoryParams, res *fixpo
 // problem in under the exact params. Corrupt records surface their
 // sentinel; records whose embedded input or params disagree with the
 // query are a miss.
-func (r recordReader) GetTrajectory(in *core.Problem, par TrajectoryParams) (*fixpoint.Result, bool, error) {
+func (src Source) GetTrajectory(in *core.Problem, par TrajectoryParams) (*fixpoint.Result, bool, error) {
 	canonical := in.CanonicalBytes()
-	payload, ok, err := decode[trajectoryPayload](r, KindTrajectory, subKey(core.StableKeyOf(canonical), par.tag()))
+	payload, ok, err := decode[trajectoryPayload](src, KindTrajectory, subKey(core.StableKeyOf(canonical), par.tag()))
 	if !ok {
 		return nil, false, err
 	}

@@ -82,9 +82,9 @@ func (s *Store) PutVerdict(in *core.Problem, par VerdictParams, result []byte) e
 // in under the exact params. Corrupt records surface their sentinel;
 // records whose embedded input or params disagree with the query are a
 // miss.
-func (r recordReader) GetVerdict(in *core.Problem, par VerdictParams) ([]byte, bool, error) {
+func (src Source) GetVerdict(in *core.Problem, par VerdictParams) ([]byte, bool, error) {
 	canonical := in.CanonicalBytes()
-	payload, ok, err := decode[verdictPayload](r, KindVerdict, subKey(core.StableKeyOf(canonical), par.tag()))
+	payload, ok, err := decode[verdictPayload](src, KindVerdict, subKey(core.StableKeyOf(canonical), par.tag()))
 	if !ok {
 		return nil, false, err
 	}
