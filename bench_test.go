@@ -420,15 +420,15 @@ var sweepBudget = fixpoint.Options{
 }
 
 // sweepCatalogOnce replays cmd/sweep's per-task path over the full
-// catalog against one store directory: checkpoint lookup, memoized
-// fixpoint run on a miss, checkpoint write. It returns the number of
-// checkpoint hits.
+// catalog against one store directory: rendered-checkpoint lookup,
+// memoized fixpoint run on a miss, rendered-checkpoint write. It
+// returns the number of checkpoint hits.
 func sweepCatalogOnce(b *testing.B, st *store.Store) int {
 	b.Helper()
 	params := store.TrajectoryParams{MaxSteps: sweepBudget.MaxSteps, MaxStates: sweepMaxStates}
 	hits := 0
 	for _, entry := range problems.Catalog() {
-		if _, ok, _ := st.GetTrajectory(entry.Problem, params); ok {
+		if _, ok, _ := st.GetRendered(entry.Problem, params); ok {
 			hits++
 			continue
 		}
@@ -438,7 +438,7 @@ func sweepCatalogOnce(b *testing.B, st *store.Store) int {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := st.PutTrajectory(entry.Problem, params, res); err != nil {
+		if err := st.PutRendered(entry.Problem, params, service.RenderFixpointNDJSON(res)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -982,8 +982,8 @@ func BenchmarkE17RenderedTier(b *testing.B) {
 // BenchmarkE18GeneratedSweep: E18 — sweep throughput over a generated
 // problem space (internal/problems/gen), cold vs warm. Each iteration
 // classifies the same 32-point `-gen family=rand` space the way
-// cmd/sweep does — fixpoint.Run per point, trajectory and rendered
-// records committed to a store. The cold case starts from an empty
+// cmd/sweep does — fixpoint.Run per point, its rendered checkpoint
+// committed to a store. The cold case starts from an empty
 // store every iteration (generation + classification + commit); the
 // warm case replays checkpoints from a pre-populated store (generation
 // + store reads only). The gap is what a checkpointed store buys a
@@ -1003,7 +1003,7 @@ func BenchmarkE18GeneratedSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, pt := range points {
-			if _, ok, _ := st.GetTrajectory(pt.Problem, params); ok {
+			if _, ok, _ := st.GetRendered(pt.Problem, params); ok {
 				continue
 			}
 			res, err := fixpoint.Run(pt.Problem, fixpoint.Options{
@@ -1011,9 +1011,6 @@ func BenchmarkE18GeneratedSweep(b *testing.B) {
 				Core:     []core.Option{core.WithMaxStates(maxStates)},
 			})
 			if err != nil {
-				b.Fatal(err)
-			}
-			if err := st.PutTrajectory(pt.Problem, params, res); err != nil {
 				b.Fatal(err)
 			}
 			if err := st.PutRendered(pt.Problem, params, service.RenderFixpointNDJSON(res)); err != nil {

@@ -300,12 +300,12 @@ func TestServeSIGHUPReload(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			matches, _ := filepath.Glob(filepath.Join(dir, "objects", "*", "*.traj"))
+			matches, _ := filepath.Glob(filepath.Join(dir, "objects", "*", "*.rendered"))
 			if len(matches) > 0 {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("no trajectory records appeared under %s", dir)
+				t.Fatalf("no rendered records appeared under %s", dir)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}

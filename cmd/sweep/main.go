@@ -12,22 +12,22 @@
 //	sweep -store dir -pack out.repack
 //
 // Tasks shard across a worker pool (internal/par). With -store the
-// sweep is checkpointed: every classified trajectory is committed to
-// the persistent result store as soon as it finishes, and a later
-// invocation with the same flags skips straight past every finished
-// task — so a sweep killed at any point (kill -9 included) resumes
-// where it stopped and produces a byte-identical report, because
-// stored results replay the exact trajectories a cold run computes.
-// The store also memoizes individual speedup steps, which warms even
-// tasks whose own checkpoint is missing; without -store an in-memory
-// step memo is shared across the tasks of this one run. Steps that
-// exhaust the state budget are remembered in process, up to label
-// renaming, so a task whose step is isomorphic to an earlier failed
-// one ends without recomputing it. Alongside each
-// trajectory the sweep commits the pre-rendered NDJSON response body
-// for the same query (backfilling it on checkpoint hits from older
-// stores), so a daemon serving the store — or a pack built from it —
-// answers from the rendered tier without marshaling anything.
+// sweep is checkpointed: every task, as soon as it finishes, commits
+// its pre-rendered NDJSON response body — the exact bytes cmd/serve
+// streams for the same /v1/fixpoint query — to the persistent result
+// store, and a later invocation with the same flags decodes each
+// finished task's report row from that body's last two lines instead
+// of recomputing it. So a sweep killed at any point (kill -9 included)
+// resumes where it stopped and produces a byte-identical report, and a
+// daemon serving the store — or a pack built from it — answers from
+// the rendered tier without marshaling anything. The store also
+// memoizes individual speedup steps, which warms even tasks whose own
+// checkpoint is missing, such as those of a store written before the
+// rendered kind existed; without -store an in-memory step memo is
+// shared across the tasks of this one run. Steps that exhaust the
+// state budget are remembered in process, up to label renaming, so a
+// task whose step is isomorphic to an earlier failed one ends without
+// recomputing it.
 //
 // -shard i/n restricts the sweep to the slice of the grid that shard i
 // owns on a consistent-hash ring over n synthetic members
@@ -77,6 +77,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -357,8 +358,10 @@ func buildTasks(cfg config) ([]problems.GridPoint, error) {
 }
 
 // row is one report line. Every field is a pure function of the task
-// and its fixpoint.Result, never of where the result came from — that
-// is what makes cold, warm, and resumed reports byte-identical.
+// and its fixpoint.Result, never of where the result came from — a
+// cold run reads it off the result (makeRow), a checkpoint hit off the
+// rendered body (checkpointRow) — and that is what makes cold, warm,
+// and resumed reports byte-identical.
 type row struct {
 	Name        string `json:"name"`
 	Family      string `json:"family"`
@@ -392,6 +395,34 @@ func makeRow(t problems.GridPoint, res *fixpoint.Result) row {
 		r.Err = res.Err.Error()
 	}
 	return r
+}
+
+// checkpointRow decodes a checkpoint hit's report line from its
+// rendered body, which holds every field makeRow reads off the result:
+// the classification line the class, the steps, the cycle and the
+// budget error, and the last entry line (Π_steps) the last problem's
+// counts. ok is false for a body that does not decode, which the
+// caller recomputes.
+func checkpointRow(t problems.GridPoint, body []byte) (row, bool) {
+	lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+	if len(lines) < 2 {
+		return row{}, false
+	}
+	var last service.FixpointEntry
+	var cls service.FixpointClassification
+	if json.Unmarshal(lines[len(lines)-2], &last) != nil || json.Unmarshal(lines[len(lines)-1], &cls) != nil ||
+		cls.Classification == "" || last.Index != cls.Steps {
+		return row{}, false
+	}
+	in := t.Problem.Stats()
+	return row{
+		Name: t.Name, Family: t.Family, Delta: t.Delta, K: t.K,
+		Labels: in.Labels, EdgeConfigs: in.EdgeConfigs, NodeConfigs: in.NodeConfigs,
+		Class: cls.Classification, Steps: cls.Steps,
+		CycleStart: cls.CycleStart, CycleLen: cls.CycleLen,
+		LastLabels: last.Problem.Labels, LastEdge: last.Problem.EdgeConfigs, LastNode: last.Problem.NodeConfigs,
+		Err: cls.BudgetError,
+	}, true
 }
 
 // syncWriter serializes the task workers' progress lines onto one
@@ -451,20 +482,17 @@ func run(cfg config, out, errw io.Writer) error {
 	err = par.RunSharded(workers, len(tasks), func(_, i int) error {
 		t := tasks[i]
 		if st != nil {
-			if res, ok, err := st.GetTrajectory(t.Problem, params); ok {
-				// Backfill the rendered body when absent, so resweeping
-				// a store from before the rendered tier upgrades it.
-				if _, rok, rerr := st.GetRendered(t.Problem, params); !rok && rerr == nil {
-					if err := st.PutRendered(t.Problem, params, service.RenderFixpointNDJSON(res)); err != nil {
-						return fmt.Errorf("%s: render checkpoint: %w", t.Name, err)
+			body, ok, err := st.GetRendered(t.Problem, params)
+			if ok {
+				if rows[i], ok = checkpointRow(t, body); ok {
+					if cfg.verbose {
+						fmt.Fprintf(errw, "sweep: %-32s checkpoint hit\n", t.Name)
 					}
+					return nil
 				}
-				rows[i] = makeRow(t, res)
-				if cfg.verbose {
-					fmt.Fprintf(errw, "sweep: %-32s checkpoint hit\n", t.Name)
-				}
-				return nil
-			} else if err != nil && cfg.verbose {
+				err = errors.New("rendered body does not decode")
+			}
+			if err != nil && cfg.verbose {
 				fmt.Fprintf(errw, "sweep: %-32s corrupt checkpoint (%v), recomputing\n", t.Name, err)
 			}
 		}
@@ -479,17 +507,12 @@ func run(cfg config, out, errw io.Writer) error {
 			return fmt.Errorf("%s: %w", t.Name, err)
 		}
 		if st != nil {
-			if err := st.PutTrajectory(t.Problem, params, res); err != nil {
-				return fmt.Errorf("%s: checkpoint: %w", t.Name, err)
-			}
-			// Pre-render the NDJSON response body alongside the
-			// trajectory: a daemon serving this store (or a pack built
-			// from it) answers the query from the rendered tier with a
-			// single lookup, no marshaling. Render failure is
-			// impossible (closed struct types), commit failure only
-			// costs warmth.
+			// The rendered body is the checkpoint, and a daemon serving
+			// this store (or a pack built from it) answers the query
+			// from it with a single lookup, no marshaling. Render
+			// failure is impossible (closed struct types).
 			if err := st.PutRendered(t.Problem, params, service.RenderFixpointNDJSON(res)); err != nil {
-				return fmt.Errorf("%s: render checkpoint: %w", t.Name, err)
+				return fmt.Errorf("%s: checkpoint: %w", t.Name, err)
 			}
 		}
 		rows[i] = makeRow(t, res)

@@ -15,6 +15,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fixpoint"
+	"repro/internal/problems"
+	"repro/internal/service"
 	"repro/internal/store"
 )
 
@@ -111,9 +113,13 @@ func TestResumeAfterKill(t *testing.T) {
 	// mid-sweep: some tasks done, the rest missing.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		matches, _ := filepath.Glob(filepath.Join(killedDir, "objects", "*", "*.traj"))
-		if len(matches) > 0 || time.Now().After(deadline) {
+		matches, _ := filepath.Glob(filepath.Join(killedDir, "objects", "*", "*.rendered"))
+		if len(matches) > 0 {
 			break
+		}
+		if time.Now().After(deadline) {
+			_ = cmd.Process.Kill()
+			t.Fatal("no checkpoint landed within 30s: nothing to kill mid-run")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -357,8 +363,9 @@ func TestPackModeFlagValidation(t *testing.T) {
 }
 
 // TestPackModeEmitsArtifact: a sweep followed by -pack produces an
-// openable artifact holding every record the sweep committed, and
-// re-packing is bit-exact.
+// openable artifact holding every record the sweep committed — one
+// rendered checkpoint per task plus the step records, no trajectory —
+// and re-packing is bit-exact.
 func TestPackModeEmitsArtifact(t *testing.T) {
 	dir := t.TempDir()
 	runSweep(t, testArgs("-store", dir))
@@ -381,12 +388,13 @@ func TestPackModeEmitsArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pr.Close()
-	steps, trajs, rendered := countSweepObjects(t, dir)
-	if rendered == 0 || rendered != trajs {
-		t.Fatalf("store has %d rendered record(s) for %d trajectories, want one each", rendered, trajs)
+	_, tasks := testTasks(t, testArgs())
+	steps, trajs, rendered := countSweepObjects(t, dir, "step"), countSweepObjects(t, dir, "traj"), countSweepObjects(t, dir, "rendered")
+	if rendered != len(tasks) || trajs != 0 {
+		t.Fatalf("store has %d rendered and %d trajectory record(s) for %d tasks, want one rendered each", rendered, trajs, len(tasks))
 	}
-	if pr.Len() != steps+trajs+rendered || pr.Len() == 0 {
-		t.Fatalf("pack holds %d record(s), store has %d", pr.Len(), steps+trajs+rendered)
+	if pr.Len() != steps+rendered {
+		t.Fatalf("pack holds %d record(s), store has %d", pr.Len(), steps+rendered)
 	}
 
 	pack2 := filepath.Join(t.TempDir(), "warm2.repack")
@@ -434,18 +442,123 @@ func TestReportCommitIsAtomic(t *testing.T) {
 	}
 }
 
-// countSweepObjects tallies the store's step, trajectory, and
-// rendered-body records.
-func countSweepObjects(t *testing.T, dir string) (steps, trajs, rendered int) {
+// countSweepObjects tallies the store's records of one kind (by
+// extension).
+func countSweepObjects(t *testing.T, dir, ext string) int {
 	t.Helper()
-	count := func(ext string) int {
-		matches, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*."+ext))
+	matches, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*."+ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(matches)
+}
+
+// testTasks parses a sweep's flags and expands them into its task
+// list.
+func testTasks(t *testing.T, args []string) (config, []problems.GridPoint) {
+	t.Helper()
+	cfg, err := parseFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := buildTasks(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, tasks
+}
+
+// coldResult classifies one task alone, memo-free, under the sweep's
+// budgets.
+func coldResult(t *testing.T, cfg config, task problems.GridPoint) *fixpoint.Result {
+	t.Helper()
+	res, err := fixpoint.Run(task.Problem, fixpoint.Options{
+		MaxSteps: cfg.maxSteps,
+		Core:     []core.Option{core.WithMaxStates(cfg.maxStates), core.WithWorkers(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestCheckpointRowMatchesMakeRow: the row a checkpoint hit decodes
+// from a rendered body equals the row makeRow reads off the result,
+// for every class the sweeps below produce — budget failures with
+// their error messages included — and a body that does not decode is
+// refused, so the task is recomputed.
+func TestCheckpointRowMatchesMakeRow(t *testing.T) {
+	classes := map[string]int{}
+	for _, args := range [][]string{testArgs(), failureGenArgs()} {
+		cfg, tasks := testTasks(t, args)
+		for _, task := range tasks {
+			res := coldResult(t, cfg, task)
+			want := makeRow(task, res)
+			got, ok := checkpointRow(task, service.RenderFixpointNDJSON(res))
+			if !ok || got != want {
+				t.Fatalf("%s: checkpoint row (%v) %+v, want %+v", task.Name, ok, got, want)
+			}
+			classes[want.Class]++
+		}
+	}
+	if classes[fixpoint.BudgetExceeded.String()] == 0 || len(classes) < 3 {
+		t.Fatalf("classes covered: %v, want budget failures among at least three", classes)
+	}
+	cfg, tasks := testTasks(t, testArgs())
+	body := service.RenderFixpointNDJSON(coldResult(t, cfg, tasks[0]))
+	lines := bytes.SplitAfter(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+	for name, bad := range map[string][]byte{
+		"empty":             nil,
+		"one line":          lines[0],
+		"no classification": bytes.Join(lines[:len(lines)-1], nil),
+		"entry dropped":     append(bytes.Join(lines[:len(lines)-2], nil), lines[len(lines)-1]...),
+		"not json":          []byte("{\n}\n"),
+	} {
+		if r, ok := checkpointRow(tasks[0], bad); ok {
+			t.Errorf("%s: body decoded to %+v, want a refusal", name, r)
+		}
+	}
+}
+
+// TestResweepOfTrajectoryOnlyStore: a store that holds only trajectory
+// checkpoints — what a sweep wrote before the rendered record became
+// the checkpoint — is not read: every task is recomputed into a
+// byte-identical report and commits its rendered checkpoint, which the
+// next sweep then hits.
+func TestResweepOfTrajectoryOnlyStore(t *testing.T) {
+	reference := runSweep(t, testArgs())
+	cfg, tasks := testTasks(t, testArgs())
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := store.TrajectoryParams{MaxSteps: cfg.maxSteps, MaxStates: cfg.maxStates}
+	for _, task := range tasks {
+		if err := st.PutTrajectory(task.Problem, params, coldResult(t, cfg, task)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i, wantHits := range []int{0, len(tasks)} {
+		cfgStore, err := parseFlags(testArgs("-store", dir, "-v"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(matches)
+		var out, errw bytes.Buffer
+		if err := run(cfgStore, &out, &errw); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), reference) {
+			t.Fatalf("sweep %d over the trajectory-only store differs from the storeless report", i)
+		}
+		if hits := bytes.Count(errw.Bytes(), []byte("checkpoint hit")); hits != wantHits {
+			t.Fatalf("sweep %d had %d checkpoint hit(s), want %d\n%s", i, hits, wantHits, errw.String())
+		}
+		if n := countSweepObjects(t, dir, "rendered"); n != len(tasks) {
+			t.Fatalf("sweep %d left %d rendered record(s) for %d tasks", i, n, len(tasks))
+		}
 	}
-	return count("step"), count("traj"), count("rendered")
 }
 
 // TestGenFlagValidation: malformed generation specs and flag conflicts
@@ -588,25 +701,12 @@ func failureGenArgs(extra ...string) []string {
 // up to label renaming reports, at every worker count, exactly the
 // rows that each task run alone and without any memo produces.
 func TestGenSweepFailureMemo(t *testing.T) {
-	cfg, err := parseFlags(failureGenArgs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks, err := buildTasks(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg, tasks := testTasks(t, failureGenArgs())
 	rows := make([]row, len(tasks))
 	var failedInputs []*core.Problem
 	repeats := 0
 	for i, task := range tasks {
-		res, err := fixpoint.Run(task.Problem, fixpoint.Options{
-			MaxSteps: cfg.maxSteps,
-			Core:     []core.Option{core.WithMaxStates(cfg.maxStates), core.WithWorkers(1)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := coldResult(t, cfg, task)
 		rows[i] = makeRow(task, res)
 		if res.Err == nil {
 			continue

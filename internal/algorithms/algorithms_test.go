@@ -123,8 +123,8 @@ func TestRingThreeColoring(t *testing.T) {
 func TestRingThreeColoringRoundsLogStar(t *testing.T) {
 	// Rounds grow like log* of the ID space: enormous spaces still need
 	// single-digit-ish rounds.
-	r1 := ColorReductionRounds(1 << 10)
-	r2 := ColorReductionRounds(1 << 62)
+	r1 := RingThreeColoring{IDSpace: 1 << 10}.Rounds(0, 2)
+	r2 := RingThreeColoring{IDSpace: 1 << 62}.Rounds(0, 2)
 	if r2-r1 > 3 {
 		t.Errorf("rounds grow too fast: %d → %d", r1, r2)
 	}

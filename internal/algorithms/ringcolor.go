@@ -110,10 +110,3 @@ func RingOrientation(g *graph.Graph) (graph.Orientation, error) {
 	}
 	return o, nil
 }
-
-// ColorReductionRounds reports the number of rounds RingThreeColoring uses
-// for a given identifier space — the measured counterpart of the
-// O(log* n) upper-bound table of Experiment E2/U1.
-func ColorReductionRounds(idSpace int) int {
-	return chainLen(cvIterations(idSpace)) - 1
-}

@@ -159,16 +159,6 @@ func (s Set) Clone() Set {
 	return c
 }
 
-// Union returns s ∪ t as a new set.
-func (s Set) Union(t Set) Set {
-	s.sameUniverse(t)
-	r := s.Clone()
-	for i, w := range t.words {
-		r.words[i] |= w
-	}
-	return r
-}
-
 // Intersect returns s ∩ t as a new set.
 func (s Set) Intersect(t Set) Set {
 	s.sameUniverse(t)
@@ -187,16 +177,6 @@ func (s Set) IntersectInto(t, dst Set) {
 	for i, w := range s.words {
 		dst.words[i] = w & t.words[i]
 	}
-}
-
-// Minus returns s \ t as a new set.
-func (s Set) Minus(t Set) Set {
-	s.sameUniverse(t)
-	r := s.Clone()
-	for i, w := range t.words {
-		r.words[i] &^= w
-	}
-	return r
 }
 
 // Complement returns the complement of s within its universe.

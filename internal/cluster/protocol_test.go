@@ -109,7 +109,7 @@ func TestPeerRecordRoundTrip(t *testing.T) {
 	}
 
 	// Miss: the rendered record's key under a kind it is not stored as.
-	if _, ok, err := c.FetchRecord(ctx, peerAddr(srv), store.KindTrajectory, key); ok || err != nil {
+	if _, ok, err := c.FetchRecord(ctx, peerAddr(srv), store.KindVerdict, key); ok || err != nil {
 		t.Fatalf("miss: ok=%v err=%v", ok, err)
 	}
 }

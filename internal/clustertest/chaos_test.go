@@ -46,9 +46,15 @@ func TestChaosShardedSweepSurvivesKill(t *testing.T) {
 	// so the store is mid-sweep: some records committed, most missing.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		matches, _ := filepath.Glob(filepath.Join(shared, "objects", "*", "*.traj"))
-		if len(matches) > 0 || time.Now().After(deadline) {
+		matches, _ := filepath.Glob(filepath.Join(shared, "objects", "*", "*.rendered"))
+		if len(matches) > 0 {
 			break
+		}
+		if time.Now().After(deadline) {
+			for _, p := range procs {
+				p.Kill()
+			}
+			t.Fatal("no checkpoint landed within 30s: nothing to kill mid-run")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -166,13 +166,6 @@ func (c Config) Equal(d Config) bool {
 	return true
 }
 
-// WithLabel returns a new config with one extra occurrence of l.
-func (c Config) WithLabel(l Label) Config {
-	counts := c.countsMap()
-	counts[l]++
-	return configFromCounts(counts, c.arity+1)
-}
-
 // WithoutLabel returns a new config with one occurrence of l removed; it
 // panics if l does not occur.
 func (c Config) WithoutLabel(l Label) Config {

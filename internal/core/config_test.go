@@ -43,13 +43,10 @@ func TestConfigOrderIndependence(t *testing.T) {
 
 func TestConfigWithWithout(t *testing.T) {
 	c := NewConfig(0, 1)
-	d := c.WithLabel(1)
-	if d.Arity() != 3 || d.Multiplicity(1) != 2 {
-		t.Error("WithLabel wrong")
-	}
+	d := NewConfig(0, 1, 1)
 	e := d.WithoutLabel(1)
 	if !e.Equal(c) {
-		t.Error("WithoutLabel did not invert WithLabel")
+		t.Error("WithoutLabel did not remove one occurrence")
 	}
 	defer func() {
 		if recover() == nil {

@@ -23,7 +23,7 @@ var fuzzSeedCorpus = []string{
 // same description sizes that is isomorphic to the original, and one
 // round-trip reaches a formatting fixed point.
 func FuzzParse(f *testing.F) {
-	for _, seed := range fuzzSeedCorpus {
+	for _, seed := range append(fuzzSeedCorpus, oversizedBodies...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {

@@ -24,12 +24,15 @@ import (
 // The second half step's edge condition is existential, so supersets
 // keep it, and its raw edge configurations must be dominated too. It is
 // compared only where Π'_{1/2} has at most 5 labels: the raw definition
-// enumerates every multiset of the 2^labels − 1 non-empty sets.
+// enumerates every multiset of the 2^labels − 1 non-empty sets. The
+// points are a pure function of their spec, so the number compared is
+// too, and it may not fall below today's: an engine change that skips
+// more points fails here instead of shrinking the check.
 func TestStepsAgainstRawDefinitions(t *testing.T) {
 	const maxHalfLabels = 5
-	count := 60
+	count, minCompared := 60, 314
 	if testing.Short() {
-		count = 20
+		count, minCompared = 20, 105
 	}
 	compared, skipped := 0, 0
 	for _, delta := range []int{2, 3} {
@@ -73,6 +76,9 @@ func TestStepsAgainstRawDefinitions(t *testing.T) {
 		}
 	}
 	t.Logf("%d second half steps compared, %d skipped", compared, skipped)
+	if compared < minCompared {
+		t.Fatalf("%d second half steps compared, want at least %d", compared, minCompared)
+	}
 }
 
 // checkAgainstRaw asserts the two relations of TestStepsAgainstRawDefinitions

@@ -70,37 +70,12 @@ func Parse(text string) (*Problem, error) {
 		return alpha.index[name], nil
 	}
 
-	parseConfig := func(items []string, lineNo int) (Config, error) {
-		counts := map[Label]int{}
-		for _, item := range items {
-			name := item
-			mult := 1
-			if idx := strings.IndexByte(item, '^'); idx >= 0 {
-				name = item[:idx]
-				m, err := strconv.Atoi(item[idx+1:])
-				if err != nil || m < 1 {
-					return Config{}, fmt.Errorf("core: parse: line %d: bad multiplicity in %q", lineNo, item)
-				}
-				mult = m
-			}
-			if name == "" {
-				return Config{}, fmt.Errorf("core: parse: line %d: empty label name in %q", lineNo, item)
-			}
-			l, err := getLabel(name)
-			if err != nil {
-				return Config{}, fmt.Errorf("core: parse: line %d: %v", lineNo, err)
-			}
-			counts[l] += mult
-		}
-		return NewConfigCounts(counts)
-	}
-
 	var nodeConfigs, edgeConfigs []Config
 	var nodeLineNos []int
 	for _, rl := range lines {
-		cfg, err := parseConfig(rl.items, rl.lineNo)
+		cfg, err := parseConfigLine(rl.items, getLabel)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: parse: line %d: %v", rl.lineNo, err)
 		}
 		switch rl.section {
 		case "node":
@@ -135,6 +110,45 @@ func Parse(text string) (*Problem, error) {
 		edge.MustAdd(cfg)
 	}
 	return NewProblem(alpha, edge, node)
+}
+
+// MaxDelta is the largest configuration arity, and so the largest Δ,
+// a problem may have: the most SecondHalfStep supports, since its
+// maximal-set search keys a multiplicity vector by one byte per label.
+// Both parsers refuse a line whose multiplicities sum past it.
+const MaxDelta = 255
+
+// parseConfigLine reads one configuration line's items — "name" or
+// "name^k" — into a Config, resolving each name through label. It
+// refuses an arity beyond MaxDelta while summing, before the sum can
+// overflow, so no text builds a problem that no step can run on.
+func parseConfigLine(items []string, label func(name string) (Label, error)) (Config, error) {
+	counts := map[Label]int{}
+	arity := 0
+	for _, item := range items {
+		name, mult := item, 1
+		if idx := strings.IndexByte(item, '^'); idx >= 0 {
+			name = item[:idx]
+			m, err := strconv.Atoi(item[idx+1:])
+			if err != nil || m < 1 {
+				return Config{}, fmt.Errorf("bad multiplicity in %q", item)
+			}
+			mult = m
+		}
+		if mult > MaxDelta-arity {
+			return Config{}, fmt.Errorf("configuration arity exceeds the supported Δ = %d", MaxDelta)
+		}
+		arity += mult
+		if name == "" {
+			return Config{}, fmt.Errorf("empty label name in %q", item)
+		}
+		l, err := label(name)
+		if err != nil {
+			return Config{}, err
+		}
+		counts[l] += mult
+	}
+	return NewConfigCounts(counts)
 }
 
 // MustParse is Parse but panics on error; for literals in tests/examples.

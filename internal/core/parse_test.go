@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -73,5 +74,58 @@ func TestStringStable(t *testing.T) {
 	}
 	if !strings.Contains(p.String(), "node:") || !strings.Contains(p.String(), "edge:") {
 		t.Error("String missing sections")
+	}
+}
+
+// oversizedBodies are short problem texts whose multiplicities ask for
+// more than any step supports: a 28-byte problem of Δ = 10^8, whose
+// half step would recurse once per unit of multiplicity, and one whose
+// multiplicities sum past the int range.
+var oversizedBodies = []string{
+	"node:\na^100000000\nedge:\na a",
+	"node:\na^4611686018427387904 b^4611686018427387904\nedge:\na b",
+}
+
+// TestParseRefusesOversizedArity: Parse refuses both oversized bodies,
+// ParseCanonical refuses the canonical form of the first and a line
+// that overflows under a small delta header, and neither panics.
+func TestParseRefusesOversizedArity(t *testing.T) {
+	for _, text := range oversizedBodies {
+		if p, err := Parse(text); err == nil {
+			t.Errorf("Parse(%q) accepted Δ = %d", text, p.Delta())
+		}
+	}
+	for _, text := range []string{
+		canonicalHeader + "\ndelta: 100000000\nalphabet: a\nnode: 1\na^100000000\nedge: 1\na^2\n",
+		canonicalHeader + "\ndelta: 2\nalphabet: a b\nnode: 1\na^4611686018427387904 b^4611686018427387904\nedge: 1\na b\n",
+	} {
+		if p, err := ParseCanonical([]byte(text)); err == nil {
+			t.Errorf("ParseCanonical(%q) accepted Δ = %d", text, p.Delta())
+		}
+	}
+}
+
+// TestParseDeltaCap: Δ = MaxDelta parses in both forms and round-trips;
+// MaxDelta + 1 is refused by both, whether the multiplicity sits on
+// one label or is spread over two.
+func TestParseDeltaCap(t *testing.T) {
+	p, err := Parse(fmt.Sprintf("node:\na^%d\nedge:\na a", MaxDelta))
+	if err != nil || p.Delta() != MaxDelta {
+		t.Fatalf("Δ = %d: %v", MaxDelta, err)
+	}
+	if q, err := ParseCanonical(p.CanonicalBytes()); err != nil || !q.Equal(p) {
+		t.Fatalf("Δ = %d canonical round trip: %v", MaxDelta, err)
+	}
+	for _, text := range []string{
+		fmt.Sprintf("node:\na^%d\nedge:\na a", MaxDelta+1),
+		fmt.Sprintf("node:\na^%d b\nedge:\na b", MaxDelta),
+	} {
+		if _, err := Parse(text); err == nil {
+			t.Errorf("Parse(%q) accepted Δ = %d", text, MaxDelta+1)
+		}
+	}
+	over := strings.Replace(string(p.CanonicalBytes()), fmt.Sprint(MaxDelta), fmt.Sprint(MaxDelta+1), -1)
+	if _, err := ParseCanonical([]byte(over)); err == nil {
+		t.Errorf("ParseCanonical(%q) accepted Δ = %d", over, MaxDelta+1)
 	}
 }

@@ -207,8 +207,8 @@ func (sc setConfig) allChoicesIn(a *setArena, h Constraint, extra []Label) bool 
 // stops at its first state over the budget.
 func maximalNodeSetConfigs(half *Problem, o speedupOptions) ([]setConfig, *setArena, error) {
 	n := half.Alpha.Size()
-	if half.Delta() > 255 {
-		return nil, nil, fmt.Errorf("core: second half step: Δ=%d exceeds the supported 255", half.Delta())
+	if half.Delta() > MaxDelta {
+		return nil, nil, fmt.Errorf("core: second half step: Δ=%d exceeds the supported %d", half.Delta(), MaxDelta)
 	}
 	roots := half.Node.Configs()
 	budget := par.NewBudget(max(o.maxStates-len(roots), 0))

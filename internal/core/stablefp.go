@@ -171,8 +171,8 @@ func ParseCanonical(data []byte) (*Problem, error) {
 		return nil, fmt.Errorf("core: parse canonical: line 2: want \"delta: <n>\", got %q", line)
 	}
 	delta, err := strconv.Atoi(deltaStr)
-	if err != nil || delta < 1 {
-		return nil, fmt.Errorf("core: parse canonical: line 2: bad delta %q", deltaStr)
+	if err != nil || delta < 1 || delta > MaxDelta {
+		return nil, fmt.Errorf("core: parse canonical: line 2: bad delta %q (want 1 to %d)", deltaStr, MaxDelta)
 	}
 
 	line, err = next()
@@ -187,6 +187,13 @@ func ParseCanonical(data []byte) (*Problem, error) {
 		return nil, fmt.Errorf("core: parse canonical: line 3: %v", err)
 	}
 
+	lookup := func(name string) (Label, error) {
+		l, ok := alpha.Lookup(name)
+		if !ok {
+			return 0, fmt.Errorf("label %q not in alphabet", name)
+		}
+		return l, nil
+	}
 	readSection := func(name string, arity int) (Constraint, error) {
 		header, err := next()
 		if err != nil {
@@ -206,24 +213,7 @@ func ParseCanonical(data []byte) (*Problem, error) {
 			if err != nil {
 				return Constraint{}, err
 			}
-			counts := map[Label]int{}
-			for _, item := range strings.Fields(cfgLine) {
-				labelName, mult := item, 1
-				if idx := strings.IndexByte(item, '^'); idx >= 0 {
-					labelName = item[:idx]
-					m, err := strconv.Atoi(item[idx+1:])
-					if err != nil || m < 1 {
-						return Constraint{}, fmt.Errorf("core: parse canonical: line %d: bad multiplicity in %q", pos, item)
-					}
-					mult = m
-				}
-				l, ok := alpha.Lookup(labelName)
-				if !ok {
-					return Constraint{}, fmt.Errorf("core: parse canonical: line %d: label %q not in alphabet", pos, labelName)
-				}
-				counts[l] += mult
-			}
-			cfg, err := NewConfigCounts(counts)
+			cfg, err := parseConfigLine(strings.Fields(cfgLine), lookup)
 			if err != nil {
 				return Constraint{}, fmt.Errorf("core: parse canonical: line %d: %v", pos, err)
 			}

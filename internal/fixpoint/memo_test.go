@@ -215,13 +215,13 @@ func TestFailureMemoGeneratedGolden(t *testing.T) {
 
 // distinctProblems is a family of FailureMemoCap+FailureMemoCap/16
 // pairwise non-isomorphic problems, built once per test binary:
-// member i has i/256+1 labels, each allowed alone at a node of degree
-// i%256+1 and at both ends of an edge. Members differ in label count
-// or Δ, so no two share a fingerprint.
+// member i has i/core.MaxDelta+1 labels, each allowed alone at a node
+// of degree i%core.MaxDelta+1 and at both ends of an edge. Members
+// differ in label count or Δ, so no two share a fingerprint.
 var distinctProblems = sync.OnceValue(func() []*core.Problem {
 	probs := make([]*core.Problem, fixpoint.FailureMemoCap+fixpoint.FailureMemoCap/16)
 	for i := range probs {
-		labels, delta := i/256+1, i%256+1
+		labels, delta := i/core.MaxDelta+1, i%core.MaxDelta+1
 		var sb strings.Builder
 		sb.WriteString("node:\n")
 		for l := 0; l < labels; l++ {

@@ -204,27 +204,6 @@ func tryConfigurationModel(n, delta int, rng *rand.Rand) (*Graph, bool) {
 	return b.Build(), true
 }
 
-// RandomRegularHighGirth samples Δ-regular graphs until one with girth at
-// least minGirth is found. High-girth regular graphs exist for
-// n ≥ some function of (Δ, girth) (the paper cites Bollobás, Extremal
-// Graph Theory, Ch. III Thm 1.4'); for the moderate girths the test
-// harness needs, rejection sampling finds them quickly once n is large
-// enough.
-func RandomRegularHighGirth(n, delta, minGirth, attempts int, rng *rand.Rand) (*Graph, error) {
-	for i := 0; i < attempts; i++ {
-		g, err := RandomRegular(n, delta, rng)
-		if err != nil {
-			return nil, err
-		}
-		girth := g.Girth()
-		if girth == -1 || girth >= minGirth {
-			return g, nil
-		}
-	}
-	return nil, fmt.Errorf("graph: no Δ=%d graph on %d nodes with girth >= %d after %d samples",
-		delta, n, minGirth, attempts)
-}
-
 // Petersen returns the Petersen graph (3-regular, girth 5, n = 10).
 func Petersen() *Graph {
 	b := NewBuilder(10)

@@ -307,27 +307,6 @@ func (g *Graph) Girth() int {
 	return best
 }
 
-// Connected reports whether the graph is connected.
-func (g *Graph) Connected() bool {
-	if g.n == 0 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	queue := []int{0}
-	seen[0] = true
-	count := 1
-	for qi := 0; qi < len(queue); qi++ {
-		for _, h := range g.adj[queue[qi]] {
-			if !seen[h.to] {
-				seen[h.to] = true
-				count++
-				queue = append(queue, h.to)
-			}
-		}
-	}
-	return count == g.n
-}
-
 // Nodes returns 0..n-1; a convenience for range loops in callers that want
 // to be explicit.
 func (g *Graph) Nodes() []int {

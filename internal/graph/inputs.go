@@ -30,21 +30,6 @@ func RandomOrientation(g *Graph, rng *rand.Rand) Orientation {
 	return o
 }
 
-// OrientationByID orients every edge from the lower to the higher value of
-// ids (ties are impossible for unique ids).
-func OrientationByID(g *Graph, ids []int) Orientation {
-	o := Orientation{Toward: make([]int, g.M())}
-	for id := 0; id < g.M(); id++ {
-		u, v, _, _ := g.EdgeEndpoints(id)
-		if ids[u] < ids[v] {
-			o.Toward[id] = v
-		} else {
-			o.Toward[id] = u
-		}
-	}
-	return o
-}
-
 // OutDegree returns the number of edges oriented away from v.
 func (o Orientation) OutDegree(g *Graph, v int) int {
 	out := 0
@@ -74,141 +59,11 @@ type EdgeColoring struct {
 	K     int
 }
 
-// GreedyEdgeColoring properly colors the edges with at most 2Δ−1 colors by
-// a greedy pass; sufficient as a symmetry-breaking input.
-func GreedyEdgeColoring(g *Graph) EdgeColoring {
-	delta := g.MaxDegree()
-	maxColors := 2*delta - 1
-	if maxColors < 1 {
-		maxColors = 1
-	}
-	colors := make([]int, g.M())
-	for i := range colors {
-		colors[i] = -1
-	}
-	used := make([]bool, maxColors+1)
-	maxUsed := 0
-	for id := 0; id < g.M(); id++ {
-		for i := range used {
-			used[i] = false
-		}
-		u, v, _, _ := g.EdgeEndpoints(id)
-		for _, w := range []int{u, v} {
-			for port := 0; port < g.Degree(w); port++ {
-				_, other, _ := g.Neighbor(w, port)
-				if other != id && colors[other] >= 0 {
-					used[colors[other]] = true
-				}
-			}
-		}
-		for c := 0; ; c++ {
-			if c >= len(used) {
-				panic("graph: greedy edge coloring exceeded 2Δ-1 colors (internal error)")
-			}
-			if !used[c] {
-				colors[id] = c
-				if c+1 > maxUsed {
-					maxUsed = c + 1
-				}
-				break
-			}
-		}
-	}
-	return EdgeColoring{Color: colors, K: maxUsed}
-}
-
-// RingEdgeColoring properly colors the edges of an even ring with 2 colors
-// or an odd ring with 3, assuming node i is adjacent to i±1 mod n as built
-// by Ring.
-func RingEdgeColoring(g *Graph) (EdgeColoring, error) {
-	n := g.N()
-	if !g.IsRegular() || g.MaxDegree() != 2 {
-		return EdgeColoring{}, fmt.Errorf("graph: ring edge coloring requires a 2-regular graph")
-	}
-	colors := make([]int, g.M())
-	k := 2
-	if n%2 == 1 {
-		k = 3
-	}
-	for id := 0; id < g.M(); id++ {
-		u, v, _, _ := g.EdgeEndpoints(id)
-		// Edge {i, i+1} has u = i except for the wrap edge {0, n-1}.
-		switch {
-		case u == 0 && v == n-1:
-			if n%2 == 1 {
-				colors[id] = 2
-			} else {
-				colors[id] = 1
-			}
-		default:
-			colors[id] = u % 2
-		}
-	}
-	return EdgeColoring{Color: colors, K: k}, nil
-}
-
-// Valid reports whether the coloring is a proper edge coloring of g.
-func (c EdgeColoring) Valid(g *Graph) bool {
-	for v := 0; v < g.N(); v++ {
-		seen := map[int]bool{}
-		for port := 0; port < g.Degree(v); port++ {
-			_, id, _ := g.Neighbor(v, port)
-			if seen[c.Color[id]] {
-				return false
-			}
-			seen[c.Color[id]] = true
-		}
-	}
-	return true
-}
-
 // NodeColoring assigns a color to every node such that adjacent nodes
 // differ.
 type NodeColoring struct {
 	Color []int
 	K     int
-}
-
-// GreedyNodeColoring properly colors the nodes with at most Δ+1 colors.
-func GreedyNodeColoring(g *Graph) NodeColoring {
-	colors := make([]int, g.N())
-	for i := range colors {
-		colors[i] = -1
-	}
-	maxUsed := 0
-	used := make([]bool, g.MaxDegree()+2)
-	for v := 0; v < g.N(); v++ {
-		for i := range used {
-			used[i] = false
-		}
-		for port := 0; port < g.Degree(v); port++ {
-			w, _, _ := g.Neighbor(v, port)
-			if colors[w] >= 0 {
-				used[colors[w]] = true
-			}
-		}
-		for c := 0; ; c++ {
-			if !used[c] {
-				colors[v] = c
-				if c+1 > maxUsed {
-					maxUsed = c + 1
-				}
-				break
-			}
-		}
-	}
-	return NodeColoring{Color: colors, K: maxUsed}
-}
-
-// Valid reports whether the coloring is a proper node coloring of g.
-func (c NodeColoring) Valid(g *Graph) bool {
-	for id := 0; id < g.M(); id++ {
-		u, v, _, _ := g.EdgeEndpoints(id)
-		if c.Color[u] == c.Color[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // UniqueIDs returns a uniformly random injective assignment of ids from

@@ -89,22 +89,6 @@ func Pow2(e int) *big.Int {
 	return new(big.Int).Lsh(big.NewInt(1), uint(e))
 }
 
-// SuperweakNext returns the parameter k' = 2^(2^(5k)) from Lemma 3/4 of the
-// paper: one speedup step turns a superweak k-coloring algorithm into a
-// superweak k'-coloring algorithm running one round faster.
-//
-// The result is returned as a big integer; it is astronomically large
-// already for k = 2 (2^(2^10) = 2^1024).
-func SuperweakNext(k int) *big.Int {
-	inner := new(big.Int).Lsh(big.NewInt(1), uint(5*k)) // 2^(5k)
-	if !inner.IsInt64() || inner.Int64() > 1<<30 {
-		// 2^(2^(5k)) has 2^(5k) bits; beyond ~2^30 bits we cannot (and need
-		// not) materialize it. Callers use SuperweakSeqBitLens instead.
-		panic("mathx: superweak parameter too large to materialize")
-	}
-	return new(big.Int).Lsh(big.NewInt(1), uint(inner.Int64()))
-}
-
 // SuperweakSteps returns the number of speedup steps of the Section 5.2
 // sequence k₀ = 2, k_{i+1} = F⁵(k_i) with F(x) = 2^x, that the Theorem 4
 // argument supports on graphs with Δ = Tower(towerHeight) (i.e. the
@@ -133,10 +117,4 @@ func SuperweakSteps(towerHeight int) int {
 // dropping to ≤ 1 — identical to LogStarBig.
 func TowerHeight(x *big.Int) int {
 	return LogStarBig(x)
-}
-
-// MultisetCount returns the number of multisets of size k over an alphabet
-// of size n, i.e. C(n+k-1, k), or (0, false) on int64 overflow.
-func MultisetCount(n, k int) (int64, bool) {
-	return Binomial(n+k-1, k)
 }

@@ -64,14 +64,6 @@ func TestBinomial(t *testing.T) {
 	}
 }
 
-func TestSuperweakNext(t *testing.T) {
-	// k=2: 2^(2^10) = 2^1024.
-	got := SuperweakNext(2)
-	if got.BitLen() != 1025 {
-		t.Errorf("SuperweakNext(2) bit length = %d, want 1025", got.BitLen())
-	}
-}
-
 func TestSuperweakSteps(t *testing.T) {
 	prev := -1
 	for h := 0; h <= 60; h++ {
@@ -97,12 +89,5 @@ func TestSuperweakSteps(t *testing.T) {
 func TestTowerHeight(t *testing.T) {
 	if h := TowerHeight(big.NewInt(65536)); h != 4 {
 		t.Errorf("TowerHeight(65536) = %d, want 4", h)
-	}
-}
-
-func TestMultisetCount(t *testing.T) {
-	got, ok := MultisetCount(3, 2)
-	if !ok || got != 6 {
-		t.Errorf("MultisetCount(3,2) = %d,%v want 6", got, ok)
 	}
 }

@@ -170,8 +170,9 @@ func fixpointFlightKey(p *core.Problem, params store.TrajectoryParams) string {
 
 // computeFixpoint runs the driver under the admission gate, emitting
 // each trajectory line as the driver appends the entry, and commits
-// the rendered body (plus the classified trajectory, cmd/sweep's
-// checkpoint record) to the sink on success. The run is bounded by the
+// the rendered body to the sink on success: with the step records the
+// driver committed as it went, that is every record a later query or
+// a cmd/sweep checkpoint reads. The run is bounded by the
 // call's context — engine shutdown and subscriber abandonment both
 // stop it at the next step boundary, with every completed step already
 // checkpointed through the step memo.
@@ -216,8 +217,7 @@ func (e *Engine) computeFixpoint(c *call, q *fixpointQuery) (any, error) {
 	line := marshalLine(classificationOf(res))
 	body = append(body, line...)
 	c.emit(line)
-	// Failed commits only cost warmth, never correctness.
-	_ = e.sink.PutTrajectory(q.p, q.params, res)
+	// A failed commit only costs warmth, never correctness.
 	_ = e.sink.PutRendered(q.p, q.params, body)
 	e.rendered.put(q.rkey, body)
 	return res, nil

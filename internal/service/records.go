@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/fixpoint"
 	"repro/internal/store"
 )
 
@@ -26,7 +25,6 @@ type recordTier interface {
 type recordSink interface {
 	recordTier
 	PutStep(in, out *core.Problem, maxStates int) error
-	PutTrajectory(in *core.Problem, par store.TrajectoryParams, res *fixpoint.Result) error
 	PutRendered(in *core.Problem, par store.TrajectoryParams, body []byte) error
 	PutVerdict(in *core.Problem, par store.VerdictParams, result []byte) error
 }
@@ -101,8 +99,8 @@ const maxMemRecords = 4096
 // record tier. It keeps decoded steps, keyed like fixpoint.MapMemo by
 // canonical input but with the budget alongside, and rendered
 // verdicts, each map under maxMemRecords entries, and counts its own
-// step and verdict lookups. It keeps no trajectories and no rendered
-// records: the raw-text rendered memo is memory mode's fixpoint tier,
+// step and verdict lookups. It keeps no rendered records: the
+// raw-text rendered memo is memory mode's fixpoint tier,
 // and a repeat that misses it replays its steps from the step map.
 type memRecords struct {
 	steps    *boundedMap[stepKey, *core.Problem]
@@ -128,11 +126,6 @@ func (m memRecords) GetStep(in *core.Problem, maxStates int) (*core.Problem, boo
 // PutStep stores the step in → out under maxStates.
 func (m memRecords) PutStep(in, out *core.Problem, maxStates int) error {
 	m.steps.put(stepKey{string(in.CanonicalBytes()), maxStates}, out)
-	return nil
-}
-
-// PutTrajectory drops the trajectory.
-func (memRecords) PutTrajectory(*core.Problem, store.TrajectoryParams, *fixpoint.Result) error {
 	return nil
 }
 

@@ -255,12 +255,12 @@ func TestCorruptRenderedDegrades(t *testing.T) {
 	}
 }
 
-// TestMissingRenderedReplaysSteps: a store holding a problem's step and
-// trajectory records but no rendered record — as a store written
-// before the rendered kind existed, or a sweep killed between its two
-// commits, leaves it — answers byte-identically by replaying the
-// steps: every step is a step-tier hit, none misses, and the replay
-// commits the rendered record.
+// TestMissingRenderedReplaysSteps: a store holding a problem's step
+// records but no rendered record — as a store written before the
+// rendered kind existed, or a run killed after its last step but
+// before its commit, leaves it — answers byte-identically by replaying
+// the steps: every step is a step-tier hit, none misses, and the
+// replay commits the rendered record.
 func TestMissingRenderedReplaysSteps(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "results")
 	req := FixpointRequest{Problem: orientationText()}
@@ -273,8 +273,8 @@ func TestMissingRenderedReplaysSteps(t *testing.T) {
 		}
 		return paths
 	}
-	if len(records("traj")) == 0 || len(records("step")) == 0 {
-		t.Fatal("the cold run committed no trajectory or no step record")
+	if len(records("rendered")) == 0 || len(records("step")) == 0 {
+		t.Fatal("the cold run committed no rendered or no step record")
 	}
 	for _, path := range records("rendered") {
 		if err := os.Remove(path); err != nil {

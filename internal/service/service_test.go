@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,37 @@ func get(t *testing.T, url, path string) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, data
+}
+
+// TestOversizedArityIsBadRequest: a problem whose multiplicities ask
+// for more than core.MaxDelta — 28 bytes of Δ = 10^8, or a sum past the
+// int range — is a 400 on every problem-taking endpoint, and the server
+// answers the next request. The lowered stack ceiling turns a parse
+// that let the deep body through into a failed test instead of a
+// gigabyte of stack.
+func TestOversizedArityIsBadRequest(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	_, srv := serve(t, "")
+	for _, text := range []string{
+		"node:\na^100000000\nedge:\na a",
+		"node:\na^4611686018427387904 b^4611686018427387904\nedge:\na b",
+	} {
+		for _, q := range []struct {
+			path string
+			req  any
+		}{
+			{"/v1/speedup", SpeedupRequest{Problem: text}},
+			{"/v1/speedup", SpeedupRequest{Problem: text, Half: true}},
+			{"/v1/fixpoint", FixpointRequest{Problem: text}},
+		} {
+			if status, body := post(t, srv.URL, q.path, q.req); status != http.StatusBadRequest {
+				t.Errorf("%s %q: status %d (%s), want 400", q.path, text, status, body)
+			}
+		}
+		if status, body := post(t, srv.URL, "/v1/speedup", SpeedupRequest{Problem: sinklessText}); status != http.StatusOK {
+			t.Fatalf("next request: status %d: %s", status, body)
+		}
+	}
 }
 
 // TestSpeedupEndpoint: the speedup endpoint computes exactly what the
@@ -489,12 +521,11 @@ func TestGracefulShutdownResume(t *testing.T) {
 	if streamed.Len() == 0 || !bytes.HasPrefix(ref.Bytes(), streamed.Bytes()) {
 		t.Fatal("interrupted stream is not a prefix of the reference stream")
 	}
-	steps, trajs := countObjects(t, dir)
-	if steps == 0 {
+	if countObjects(t, dir, "step") == 0 {
 		t.Fatal("interrupted run checkpointed no steps")
 	}
-	if trajs != 0 {
-		t.Fatalf("interrupted run committed %d trajectory record(s), want 0", trajs)
+	if n := countObjects(t, dir, "rendered"); n != 0 {
+		t.Fatalf("interrupted run committed %d rendered record(s), want 0", n)
 	}
 
 	// Resume: a fresh engine over the same store replays the
@@ -510,8 +541,8 @@ func TestGracefulShutdownResume(t *testing.T) {
 	if !bytes.Equal(resumed.Bytes(), ref.Bytes()) {
 		t.Fatal("resumed run is not byte-identical to the uninterrupted reference")
 	}
-	if _, trajs := countObjects(t, dir); trajs != 1 {
-		t.Fatal("resumed run did not commit the trajectory record")
+	if countObjects(t, dir, "rendered") != 1 {
+		t.Fatal("resumed run did not commit the rendered record")
 	}
 
 	// And the warm replay after resume still matches.
@@ -527,18 +558,33 @@ func TestGracefulShutdownResume(t *testing.T) {
 	}
 }
 
-// countObjects tallies the store's step and trajectory records.
-func countObjects(t *testing.T, dir string) (steps, trajs int) {
+// countObjects tallies the store's records of one kind (by extension).
+func countObjects(t *testing.T, dir, ext string) int {
 	t.Helper()
-	matchesStep, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.step"))
+	matches, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*."+ext))
 	if err != nil {
 		t.Fatal(err)
 	}
-	matchesTraj, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.traj"))
-	if err != nil {
-		t.Fatal(err)
+	return len(matches)
+}
+
+// TestColdFixpointCommitsNoTrajectory: a cold store-mode fixpoint
+// query commits exactly what a later query or sweep checkpoint reads —
+// one rendered record and one step record per step — and no trajectory
+// record, whose contents the rendered body already holds.
+func TestColdFixpointCommitsNoTrajectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "results")
+	body := fixpointBody(t, newEngine(t, dir), FixpointRequest{Problem: orientationText()})
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	var cls FixpointClassification
+	if err := json.Unmarshal(lines[len(lines)-1], &cls); err != nil || cls.Steps == 0 {
+		t.Fatalf("classification line %q: err %v, steps %d; want at least one step", lines[len(lines)-1], err, cls.Steps)
 	}
-	return len(matchesStep), len(matchesTraj)
+	for ext, want := range map[string]int{"rendered": 1, "step": cls.Steps, "traj": 0} {
+		if got := countObjects(t, dir, ext); got != want {
+			t.Errorf("%d .%s record(s), want %d", got, ext, want)
+		}
+	}
 }
 
 // TestClosedEngineRefusesQueries: queries after Close fail fast with

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -176,52 +175,15 @@ func (v *View) Depth() int {
 // port-numbering algorithm.
 func (v *View) Key() string {
 	var sb strings.Builder
-	v.encode(&sb, func(id int) int { return id })
+	v.encode(&sb)
 	return sb.String()
 }
 
-// OrderInvariantKey returns a serialization in which identifiers are
-// replaced by their ranks within the view. Two nodes receive equal keys
-// iff their views are indistinguishable to any deterministic
-// order-invariant algorithm (Naor–Stockmeyer; Section 4.3 of the paper).
-func (v *View) OrderInvariantKey() string {
-	idSet := map[int]bool{}
-	v.collectIDs(idSet)
-	ids := make([]int, 0, len(idSet))
-	for id := range idSet {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	rank := make(map[int]int, len(ids))
-	for i, id := range ids {
-		rank[id] = i + 1
-	}
-	var sb strings.Builder
-	v.encode(&sb, func(id int) int {
-		if id == 0 {
-			return 0
-		}
-		return rank[id]
-	})
-	return sb.String()
-}
-
-func (v *View) collectIDs(dst map[int]bool) {
-	if v.ID != 0 {
-		dst[v.ID] = true
-	}
-	for _, p := range v.Ports {
-		if p.Sub != nil {
-			p.Sub.collectIDs(dst)
-		}
-	}
-}
-
-func (v *View) encode(sb *strings.Builder, idMap func(int) int) {
+func (v *View) encode(sb *strings.Builder) {
 	sb.WriteByte('[')
 	sb.WriteString(strconv.Itoa(v.Degree))
 	sb.WriteByte(';')
-	sb.WriteString(strconv.Itoa(idMap(v.ID)))
+	sb.WriteString(strconv.Itoa(v.ID))
 	sb.WriteByte(';')
 	sb.WriteString(strconv.Itoa(v.NodeColor))
 	for _, p := range v.Ports {
@@ -233,7 +195,7 @@ func (v *View) encode(sb *strings.Builder, idMap func(int) int) {
 		sb.WriteString(strconv.Itoa(p.ReturnPort))
 		sb.WriteByte(',')
 		if p.Sub != nil {
-			p.Sub.encode(sb, idMap)
+			p.Sub.encode(sb)
 		} else {
 			sb.WriteByte('_')
 		}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -128,7 +129,7 @@ func TestCorruptionBadMagicAndKind(t *testing.T) {
 		t.Fatalf("GetStep = (_, %v, %v), want ErrBadMagic", ok, err)
 	}
 
-	// A trajectory record renamed into a step object's place: kind
+	// A rendered record renamed into a step object's place: kind
 	// mismatch, not a misinterpreted payload.
 	s2 := openTemp(t)
 	in2, _ := putOneStep(t, s2)
@@ -137,7 +138,7 @@ func TestCorruptionBadMagicAndKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return encodeRecord(KindTrajectory, payload)
+		return encodeRecord(KindRendered, payload)
 	})
 	if _, ok, err := s2.GetStep(in2, 0); ok || !errors.Is(err, ErrKindMismatch) {
 		t.Fatalf("GetStep = (_, %v, %v), want ErrKindMismatch", ok, err)
@@ -146,7 +147,7 @@ func TestCorruptionBadMagicAndKind(t *testing.T) {
 
 // TestConcurrentSweepWriters hammers one store directory from many
 // goroutines doing exactly what concurrent sweep shards do — memoized
-// fixpoint runs plus trajectory checkpoints over the catalog — and
+// fixpoint runs plus rendered checkpoints over the catalog — and
 // verifies every record afterwards. Run under -race this is the
 // reader/writer-safety lock for the whole package.
 func TestConcurrentSweepWriters(t *testing.T) {
@@ -173,11 +174,11 @@ func TestConcurrentSweepWriters(t *testing.T) {
 					errs[w] = fmt.Errorf("%s: %w", entry.Name, err)
 					return
 				}
-				if err := s.PutTrajectory(entry.Problem, par, res); err != nil {
+				if err := s.PutRendered(entry.Problem, par, testBody(res)); err != nil {
 					errs[w] = fmt.Errorf("%s: put: %w", entry.Name, err)
 					return
 				}
-				if _, ok, err := s.GetTrajectory(entry.Problem, par); !ok || err != nil {
+				if _, ok, err := s.GetRendered(entry.Problem, par); !ok || err != nil {
 					errs[w] = fmt.Errorf("%s: readback: ok=%v err=%w", entry.Name, ok, err)
 					return
 				}
@@ -191,10 +192,10 @@ func TestConcurrentSweepWriters(t *testing.T) {
 		}
 	}
 
-	// Every record left behind decodes cleanly and replays the cold
-	// classification.
+	// Every record left behind decodes cleanly and holds the cold
+	// run's body.
 	for _, entry := range catalog {
-		res, ok, err := s.GetTrajectory(entry.Problem, par)
+		body, ok, err := s.GetRendered(entry.Problem, par)
 		if !ok || err != nil {
 			t.Fatalf("%s: final readback: ok=%v err=%v", entry.Name, ok, err)
 		}
@@ -205,8 +206,8 @@ func TestConcurrentSweepWriters(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: cold: %v", entry.Name, err)
 		}
-		if res.Kind != cold.Kind || res.Steps != cold.Steps {
-			t.Fatalf("%s: stored %v/%d steps, cold %v/%d steps", entry.Name, res.Kind, res.Steps, cold.Kind, cold.Steps)
+		if !bytes.Equal(body, testBody(cold)) {
+			t.Fatalf("%s: stored body %q, cold body %q", entry.Name, body, testBody(cold))
 		}
 	}
 }

@@ -2,7 +2,8 @@ package store
 
 // This file is the pack writer: the store's distributable warm-cache
 // artifact. A pack is one read-optimized binary file holding every
-// validated record of a store directory — all keys in one sorted
+// validated record of a store directory that the program reads (older
+// stores' trajectory records are left out) — all keys in one sorted
 // table of fixed-length entries that lookups binary-search, all
 // payloads in one data section addressed by offset/length — behind a
 // versioned header and a whole-file SHA-256 checksum. Store.Pack
@@ -98,7 +99,8 @@ type packEntry struct {
 
 // Pack walks the store's objects and writes the packed warm-cache
 // artifact to path, committed with the same temp+rename+dirsync
-// protocol as every record. Records that fail frame validation are
+// protocol as every record. Trajectory records, which nothing reads,
+// are left out uncounted; records that fail frame validation are
 // skipped and counted in PackStats.Skipped. The output is
 // deterministic in the record set (see the package comment on pack.go).
 func (s *Store) Pack(path string) (PackStats, error) {
@@ -115,8 +117,8 @@ func (s *Store) Pack(path string) (PackStats, error) {
 		name := d.Name()
 		ext := filepath.Ext(name)
 		kind, ok := KindByExt(strings.TrimPrefix(ext, "."))
-		if !ok {
-			return nil // temp files and foreign files are not records
+		if !ok || kind == KindTrajectory {
+			return nil // temp files, foreign files and unread kinds
 		}
 		keyBytes, herr := hex.DecodeString(strings.TrimSuffix(name, ext))
 		if herr != nil || len(keyBytes) != 32 {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/problems"
 )
 
-// packParams is the trajectory budget the pack tests populate under —
+// packParams is the fixpoint budget the pack tests populate under —
 // small enough to stay fast, identical across populate and lookup.
 var packParams = TrajectoryParams{MaxSteps: 2, MaxStates: 8_000}
 
@@ -23,8 +23,23 @@ var packVerdictParams = VerdictParams{
 	Problem: "sinkless-coloring/delta=3", Rounds: 1, MaxN: 3, Family: "regular", Seed: 1,
 }
 
+// packRun classifies p under packParams with s's step memo, so the run
+// commits its step records (or, when they are there, replays them).
+func packRun(t testing.TB, s *Store, p *core.Problem) *fixpoint.Result {
+	t.Helper()
+	res, err := fixpoint.Run(p, fixpoint.Options{
+		MaxSteps: packParams.MaxSteps,
+		Core:     []core.Option{core.WithMaxStates(packParams.MaxStates), core.WithWorkers(1)},
+		Memo:     s.StepMemo(packParams.MaxStates),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // populatePackStore fills s with a representative record mix — step
-// records (via the memo), trajectory checkpoints, and a rendered
+// records (via the memo), rendered checkpoints, and a rendered
 // verdict — and returns the problems it used.
 func populatePackStore(t testing.TB, s *Store) []*core.Problem {
 	t.Helper()
@@ -34,15 +49,7 @@ func populatePackStore(t testing.TB, s *Store) []*core.Problem {
 		problems.WeakTwoColoringPointer(3),
 	}
 	for _, p := range probs {
-		res, err := fixpoint.Run(p, fixpoint.Options{
-			MaxSteps: packParams.MaxSteps,
-			Core:     []core.Option{core.WithMaxStates(packParams.MaxStates), core.WithWorkers(1)},
-			Memo:     s.StepMemo(packParams.MaxStates),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.PutTrajectory(p, packParams, res); err != nil {
+		if err := s.PutRendered(p, packParams, testBody(packRun(t, s, p))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,29 +112,25 @@ func TestPackRoundTripIdentity(t *testing.T) {
 		t.Fatal("pack is empty")
 	}
 
-	// Every trajectory, step, and verdict answers identically from both
-	// tiers.
+	// Every rendered body, step, and verdict answers identically from
+	// both tiers.
 	for i, p := range probs {
-		want, ok, err := s.GetTrajectory(p, packParams)
+		want, ok, err := s.GetRendered(p, packParams)
 		if !ok || err != nil {
-			t.Fatalf("store trajectory %d: ok=%v err=%v", i, ok, err)
+			t.Fatalf("store rendered %d: ok=%v err=%v", i, ok, err)
 		}
-		got, ok, err := pr.GetTrajectory(p, packParams)
+		got, ok, err := pr.GetRendered(p, packParams)
 		if !ok || err != nil {
-			t.Fatalf("pack trajectory %d: ok=%v err=%v", i, ok, err)
+			t.Fatalf("pack rendered %d: ok=%v err=%v", i, ok, err)
 		}
-		if got.Kind != want.Kind || got.Steps != want.Steps || len(got.Trajectory) != len(want.Trajectory) {
-			t.Fatalf("trajectory %d differs across tiers: %+v vs %+v", i, got, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("rendered %d not byte-identical across tiers", i)
 		}
-		for j := range want.Trajectory {
-			if !bytes.Equal(got.Trajectory[j].CanonicalBytes(), want.Trajectory[j].CanonicalBytes()) {
-				t.Fatalf("trajectory %d entry %d not byte-identical", i, j)
-			}
-		}
-		// Step records: walk the stored trajectory re-asking the memo
+		// Step records: walk the trajectory re-asking the memo
 		// questions.
-		for j := 0; j+1 < len(want.Trajectory); j++ {
-			in := want.Trajectory[j]
+		res := packRun(t, s, p)
+		for j := 0; j+1 < len(res.Trajectory); j++ {
+			in := res.Trajectory[j]
 			sOut, sOK, _ := s.GetStep(in, packParams.MaxStates)
 			pOut, pOK, perr := pr.GetStep(in, packParams.MaxStates)
 			if sOK != pOK || perr != nil {
@@ -212,10 +215,10 @@ func TestPackLookupMisses(t *testing.T) {
 	pr, _ := packOf(t, s)
 
 	other := TrajectoryParams{MaxSteps: packParams.MaxSteps + 1, MaxStates: packParams.MaxStates}
-	if _, ok, err := pr.GetTrajectory(probs[0], other); ok || err != nil {
+	if _, ok, err := pr.GetRendered(probs[0], other); ok || err != nil {
 		t.Fatalf("different params: ok=%v err=%v, want miss", ok, err)
 	}
-	if _, ok, err := pr.GetTrajectory(problems.SinklessColoring(4), packParams); ok || err != nil {
+	if _, ok, err := pr.GetRendered(problems.SinklessColoring(4), packParams); ok || err != nil {
 		t.Fatalf("absent problem: ok=%v err=%v, want miss", ok, err)
 	}
 	if _, ok, err := pr.GetStep(probs[0], packParams.MaxStates+1); ok || err != nil {
@@ -238,7 +241,7 @@ func TestPackClosedDegradesToMiss(t *testing.T) {
 	if err := pr.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, ok, err := pr.GetTrajectory(probs[0], packParams); ok || err != nil {
+	if _, ok, err := pr.GetRendered(probs[0], packParams); ok || err != nil {
 		t.Fatalf("closed pack lookup: ok=%v err=%v, want miss", ok, err)
 	}
 	if err := pr.Walk(func(Kind, core.StableFingerprint, []byte) error { return nil }); err == nil {
@@ -474,7 +477,7 @@ func TestPackSkipsCorruptRecords(t *testing.T) {
 	if _, ok, err := pr.GetStep(in, 0); ok || err != nil {
 		t.Fatalf("corrupt record leaked into the pack: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := pr.GetTrajectory(probs[0], packParams); !ok || err != nil {
+	if _, ok, err := pr.GetRendered(probs[0], packParams); !ok || err != nil {
 		t.Fatalf("healthy record missing from the pack: ok=%v err=%v", ok, err)
 	}
 }
@@ -518,7 +521,7 @@ func TestPackReaderAtFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pr.Close()
-	if _, ok, err := pr.GetTrajectory(probs[0], packParams); !ok || err != nil {
+	if _, ok, err := pr.GetRendered(probs[0], packParams); !ok || err != nil {
 		t.Fatalf("fallback lookup: ok=%v err=%v, want hit", ok, err)
 	}
 }
@@ -540,15 +543,7 @@ func TestPackDeterministicAcrossOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range probs {
-		res, err := fixpoint.Run(p, fixpoint.Options{
-			MaxSteps: packParams.MaxSteps,
-			Core:     []core.Option{core.WithMaxStates(packParams.MaxStates), core.WithWorkers(1)},
-			Memo:     sB.StepMemo(packParams.MaxStates),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sB.PutTrajectory(p, packParams, res); err != nil {
+		if err := sB.PutRendered(p, packParams, testBody(packRun(t, sB, p))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -564,5 +559,40 @@ func TestPackDeterministicAcrossOrders(t *testing.T) {
 	bB, _ := os.ReadFile(pB)
 	if !bytes.Equal(bA, bB) {
 		t.Fatalf("population order changed the pack bytes: %d vs %d", len(bA), len(bB))
+	}
+}
+
+// TestPackSkipsTrajectoryRecords: an older store's trajectory records
+// stay in the store but not in its pack, which is bit-identical to the
+// pack of the same store without them.
+func TestPackSkipsTrajectoryRecords(t *testing.T) {
+	s := openTemp(t)
+	probs := populatePackStore(t, s)
+	_, cleanPath := packOf(t, s)
+	if err := s.PutTrajectory(probs[0], packParams, packRun(t, s, probs[0])); err != nil {
+		t.Fatal(err)
+	}
+	if trajs, _ := filepath.Glob(filepath.Join(s.Root(), "objects", "*", "*.traj")); len(trajs) != 1 {
+		t.Fatalf("store holds %d trajectory record(s), want 1", len(trajs))
+	}
+	pr, path := packOf(t, s)
+	if err := pr.Walk(func(kind Kind, _ core.StableFingerprint, _ []byte) error {
+		if kind == KindTrajectory {
+			t.Error("the pack holds a trajectory record")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(cleanPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withTraj, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(clean, withTraj) {
+		t.Fatal("a trajectory record changed the pack bytes")
 	}
 }

@@ -33,7 +33,10 @@ const (
 	// problem → canonical compact-renamed derived problem.
 	KindStep Kind = 1
 	// KindTrajectory records one classified fixpoint trajectory
-	// (a fixpoint.Result) under explicit budget parameters.
+	// (a fixpoint.Result) under explicit budget parameters. No serve,
+	// sweep or pack path writes or reads it any more — the rendered
+	// record holds the same trajectory — and Pack leaves it out; the
+	// kind stays registered so that older stores and packs still open.
 	KindTrajectory Kind = 2
 	// KindVerdict records one rendered oracle verdict (a decision or
 	// conformance report) under explicit family/seed/round parameters.

@@ -8,10 +8,10 @@ import (
 )
 
 // renderedTag renders TrajectoryParams into the key-derivation
-// discriminator of a KindRendered record. Rendered bodies share the
-// trajectory record's identity — (StableKey, MaxSteps, MaxStates) —
-// under a distinct tag, so a store can hold both the replayable
-// trajectory and its pre-rendered response bytes for one query.
+// discriminator of a KindRendered record. A rendered record's identity
+// is the query's — (StableKey, MaxSteps, MaxStates) — under a tag of
+// its own, distinct from the trajectory kind's, so an older store's
+// trajectory record never shares a key with a rendered one.
 func renderedTag(p TrajectoryParams) string {
 	return fmt.Sprintf("|rendered|max_steps=%d|max_states=%d", p.MaxSteps, p.MaxStates)
 }

@@ -10,8 +10,8 @@ import (
 // Source fetches the validated payload stored under (kind, key) from
 // one place records live: ok is false when there is none, and a
 // damaged record reports its corruption sentinel. Its methods are the
-// typed getters every source shares — GetStep, GetTrajectory,
-// GetRendered and GetVerdict, each written once — plus RawRecord. A
+// typed getters every source shares — GetStep, GetRendered and
+// GetVerdict, each written once — plus RawRecord. A
 // getter derives the record key from its query once, fetches the
 // payload and runs the collision guard: a payload whose embedded input
 // or parameters disagree with the query is a miss, never a wrong

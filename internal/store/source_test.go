@@ -12,8 +12,8 @@ import (
 	"repro/internal/fixpoint"
 )
 
-// rawTestStore builds a store holding one step, one trajectory, and
-// one rendered record for the returned problem and params.
+// rawTestStore builds a store holding one step and one rendered
+// record for the returned problem and params.
 func rawTestStore(t *testing.T) (*Store, *core.Problem, TrajectoryParams) {
 	t.Helper()
 	st, err := Open(t.TempDir())
@@ -27,9 +27,6 @@ func rawTestStore(t *testing.T) (*Store, *core.Problem, TrajectoryParams) {
 		t.Fatal(err)
 	}
 	if err := st.PutStep(p, res.Trajectory[0], par.MaxStates); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutTrajectory(p, par, res); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.PutRendered(p, par, []byte("body-bytes\n")); err != nil {
@@ -134,7 +131,6 @@ func TestPackRawRecordMatchesStoreFrame(t *testing.T) {
 		key  core.StableFingerprint
 	}{
 		{KindStep, stepKey(p.CanonicalBytes(), par.MaxStates)},
-		{KindTrajectory, keyOf(func(src Source) { src.GetTrajectory(p, par) })},
 		{KindRendered, renderedKey(p, par)},
 	} {
 		file, err := os.ReadFile(st.objectPath(probe.kind, probe.key))

@@ -1,9 +1,9 @@
 // Package store is the content-addressed persistent result store of the
-// reproduction: memoized speedup steps, classified fixpoint
-// trajectories, rendered oracle verdicts and pre-rendered fixpoint
-// response bodies, keyed by the stable fingerprint of their exact
-// input problem (core.StableKey) and written as versioned, checksummed
-// records with atomic rename-on-commit.
+// reproduction: memoized speedup steps, rendered oracle verdicts and
+// pre-rendered fixpoint response bodies, keyed by the stable
+// fingerprint of their exact input problem (core.StableKey) and
+// written as versioned, checksummed records with atomic
+// rename-on-commit.
 //
 // Brandt's speedup transformation is a deterministic function of the
 // problem representation, which makes its results perfectly cacheable:
@@ -15,11 +15,13 @@
 // On disk a store is a directory:
 //
 //	<root>/objects/<kk>/<64-hex-key>.step      one memoized speedup step
-//	<root>/objects/<kk>/<64-hex-key>.traj      one classified trajectory
 //	<root>/objects/<kk>/<64-hex-key>.verdict   one rendered oracle verdict
 //	<root>/objects/<kk>/<64-hex-key>.rendered  one rendered fixpoint body
 //
-// where <kk> is the first two hex digits of the key (fan-out), and each
+// where <kk> is the first two hex digits of the key (fan-out). A store
+// written by an older version may also hold <key>.traj classified
+// trajectories; nothing reads them and Pack leaves them out, but the
+// kind stays registered, so such a store still opens. Each
 // file is a framed record: an 8-byte magic, big-endian container
 // version and kind, the payload length, a JSON payload, and a SHA-256
 // checksum over everything preceding it. Readers validate the frame and

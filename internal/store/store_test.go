@@ -1,7 +1,8 @@
 package store
 
 import (
-	"errors"
+	"bytes"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -67,6 +68,32 @@ func TestStepRoundTrip(t *testing.T) {
 	}
 }
 
+// testBody stands in for a rendered fixpoint body: the store never
+// interprets body bytes, so any pure function of the result will do.
+func testBody(res *fixpoint.Result) []byte {
+	var b bytes.Buffer
+	for _, p := range res.Trajectory {
+		b.Write(p.CanonicalBytes())
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "%v steps=%d\n", res.Kind, res.Steps)
+	return b.Bytes()
+}
+
+// trajectoryRecord decodes the KindTrajectory record PutTrajectory
+// committed for (in, par); nothing outside the store's tests reads it.
+func trajectoryRecord(t *testing.T, s *Store, in *core.Problem, par TrajectoryParams) *trajectoryPayload {
+	t.Helper()
+	payload, ok, err := decode[trajectoryPayload](s.Source, KindTrajectory, subKey(core.StableKey(in), par.tag()))
+	if err != nil || !ok {
+		t.Fatalf("trajectory record: ok=%v err=%v, want a record", ok, err)
+	}
+	return payload
+}
+
+// TestTrajectoryRoundTrip: the record PutTrajectory commits holds the
+// input, the budgets, the classification, every trajectory entry
+// byte-identically and the witness in label order.
 func TestTrajectoryRoundTrip(t *testing.T) {
 	s := openTemp(t)
 	par := TrajectoryParams{MaxSteps: 16}
@@ -79,43 +106,39 @@ func TestTrajectoryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", entry.Name, err)
 		}
-		if _, ok, err := s.GetTrajectory(entry.Problem, par); ok || err != nil {
-			t.Fatalf("%s: unexpected hit before put", entry.Name)
-		}
 		if err := s.PutTrajectory(entry.Problem, par, res); err != nil {
 			t.Fatalf("%s: put: %v", entry.Name, err)
 		}
-		got, ok, err := s.GetTrajectory(entry.Problem, par)
-		if err != nil || !ok {
-			t.Fatalf("%s: GetTrajectory = (_, %v, %v), want hit", entry.Name, ok, err)
+		got := trajectoryRecord(t, s, entry.Problem, par)
+		if got.FPVersion != core.FingerprintVersion || got.MaxSteps != par.MaxSteps || got.MaxStates != par.MaxStates ||
+			got.Input != string(entry.Problem.CanonicalBytes()) {
+			t.Fatalf("%s: record identity %+v does not match the query", entry.Name, got)
 		}
-		if got.Kind != res.Kind || got.Steps != res.Steps ||
-			got.CycleStart != res.CycleStart || got.CycleLen != res.CycleLen {
+		if fixpoint.Kind(got.Kind) != res.Kind || got.Steps != res.Steps ||
+			got.CycleStart != res.CycleStart || got.CycleLen != res.CycleLen || got.ErrMsg != "" {
 			t.Fatalf("%s: classification changed across the round trip: %+v vs %+v", entry.Name, got, res)
 		}
 		if len(got.Trajectory) != len(res.Trajectory) {
 			t.Fatalf("%s: trajectory length %d, want %d", entry.Name, len(got.Trajectory), len(res.Trajectory))
 		}
 		for i := range got.Trajectory {
-			if string(got.Trajectory[i].CanonicalBytes()) != string(res.Trajectory[i].CanonicalBytes()) {
+			if got.Trajectory[i] != string(res.Trajectory[i].CanonicalBytes()) {
 				t.Fatalf("%s: trajectory entry %d not byte-identical", entry.Name, i)
 			}
 		}
 		if len(got.Witness) != len(res.Witness) {
 			t.Fatalf("%s: witness size %d, want %d", entry.Name, len(got.Witness), len(res.Witness))
 		}
-		for from, to := range res.Witness {
-			if got.Witness[from] != to {
-				t.Fatalf("%s: witness disagrees at %d", entry.Name, from)
+		for i, pair := range got.Witness {
+			if res.Witness[core.Label(pair[0])] != core.Label(pair[1]) || (i > 0 && got.Witness[i-1][0] >= pair[0]) {
+				t.Fatalf("%s: witness disagrees or is out of order at %d", entry.Name, i)
 			}
-		}
-		// Different params miss.
-		if _, ok, _ := s.GetTrajectory(entry.Problem, TrajectoryParams{MaxSteps: par.MaxSteps + 1}); ok {
-			t.Fatalf("%s: hit under different params", entry.Name)
 		}
 	}
 }
 
+// TestTrajectoryBudgetExceededRoundTrip: a budget-exhausted run's
+// record keeps the budget error's message byte-for-byte.
 func TestTrajectoryBudgetExceededRoundTrip(t *testing.T) {
 	s := openTemp(t)
 	// A tiny state budget forces BudgetExceeded with a non-nil Err.
@@ -134,18 +157,9 @@ func TestTrajectoryBudgetExceededRoundTrip(t *testing.T) {
 	if err := s.PutTrajectory(p, par, res); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s.GetTrajectory(p, par)
-	if err != nil || !ok {
-		t.Fatalf("GetTrajectory = (_, %v, %v), want hit", ok, err)
-	}
-	if got.Kind != fixpoint.BudgetExceeded {
-		t.Fatalf("Kind = %v, want BudgetExceeded", got.Kind)
-	}
-	if got.Err == nil || got.Err.Error() != res.Err.Error() {
-		t.Fatalf("Err = %v, want %v", got.Err, res.Err)
-	}
-	if !errors.Is(got.Err, core.ErrStateBudget) {
-		t.Fatal("restored error lost errors.Is(core.ErrStateBudget)")
+	got := trajectoryRecord(t, s, p, par)
+	if fixpoint.Kind(got.Kind) != fixpoint.BudgetExceeded || got.ErrMsg != res.Err.Error() {
+		t.Fatalf("record = kind %d err %q, want BudgetExceeded with %q", got.Kind, got.ErrMsg, res.Err)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 	"repro/internal/fixpoint"
 )
 
-// TrajectoryParams identifies the budget under which a trajectory was
-// classified. Conclusive classifications (fixed point, cycle,
+// TrajectoryParams identifies the budget under which a fixpoint query
+// was classified, and with the input problem it keys the query's
+// rendered record. Conclusive classifications (fixed point, cycle,
 // collapsed, zero-round) do not depend on the budget that happened to
 // be in force, but BudgetExceeded ones do — so the budget is part of
 // the record identity, and a lookup only ever returns a result that a
@@ -23,7 +24,8 @@ type TrajectoryParams struct {
 	MaxStates int
 }
 
-// tag renders the params into the key-derivation discriminator.
+// tag renders the params into the key-derivation discriminator of a
+// KindTrajectory record.
 func (p TrajectoryParams) tag() string {
 	return fmt.Sprintf("|traj|max_steps=%d|max_states=%d", p.MaxSteps, p.MaxStates)
 }
@@ -44,11 +46,12 @@ type trajectoryPayload struct {
 	Trajectory []string `json:"trajectory"`
 }
 
-// PutTrajectory persists a classified fixpoint run: res must be the
-// result of fixpoint.Run(in-equivalent, ...) under the given params.
-// The full trajectory is stored, so a later GetTrajectory reproduces
-// the result byte-for-byte (problems, classification, witness, and —
-// for BudgetExceeded — the budget error message).
+// PutTrajectory persists a classified fixpoint run as a KindTrajectory
+// record: res must be the result of fixpoint.Run(in-equivalent, ...)
+// under the given params. Nothing in the program writes or reads these
+// records any more — the rendered record holds the same trajectory and
+// is what every warm path serves, and Pack leaves them out. The method
+// stays for servebench's put probe, which times it next to PutRendered.
 func (s *Store) PutTrajectory(in *core.Problem, par TrajectoryParams, res *fixpoint.Result) error {
 	canonical := in.CanonicalBytes()
 	payload := trajectoryPayload{
@@ -78,52 +81,3 @@ func (s *Store) PutTrajectory(in *core.Problem, par TrajectoryParams, res *fixpo
 	}
 	return s.putRecord(KindTrajectory, subKey(core.StableKeyOf(canonical), par.tag()), data)
 }
-
-// GetTrajectory looks up the classified fixpoint run for the exact
-// problem in under the exact params. Corrupt records surface their
-// sentinel; records whose embedded input or params disagree with the
-// query are a miss.
-func (src Source) GetTrajectory(in *core.Problem, par TrajectoryParams) (*fixpoint.Result, bool, error) {
-	canonical := in.CanonicalBytes()
-	payload, ok, err := decode[trajectoryPayload](src, KindTrajectory, subKey(core.StableKeyOf(canonical), par.tag()))
-	if !ok {
-		return nil, false, err
-	}
-	if payload.FPVersion != core.FingerprintVersion ||
-		payload.MaxSteps != par.MaxSteps || payload.MaxStates != par.MaxStates ||
-		payload.Input != string(canonical) {
-		return nil, false, nil
-	}
-	res := &fixpoint.Result{
-		Kind:       fixpoint.Kind(payload.Kind),
-		Steps:      payload.Steps,
-		CycleStart: payload.CycleStart,
-		CycleLen:   payload.CycleLen,
-		Trajectory: make([]*core.Problem, len(payload.Trajectory)),
-	}
-	for i, text := range payload.Trajectory {
-		p, err := core.ParseCanonical([]byte(text))
-		if err != nil {
-			return nil, false, fmt.Errorf("store: get trajectory: entry %d: %w", i, err)
-		}
-		res.Trajectory[i] = p
-	}
-	if len(payload.Witness) > 0 {
-		res.Witness = make(core.LabelMap, len(payload.Witness))
-		for _, pair := range payload.Witness {
-			res.Witness[core.Label(pair[0])] = core.Label(pair[1])
-		}
-	}
-	if payload.ErrMsg != "" {
-		res.Err = &storedBudgetError{msg: payload.ErrMsg}
-	}
-	return res, true, nil
-}
-
-// storedBudgetError restores a persisted budget-exhaustion error: the
-// original message byte-for-byte, still matching
-// errors.Is(err, core.ErrStateBudget).
-type storedBudgetError struct{ msg string }
-
-func (e *storedBudgetError) Error() string { return e.msg }
-func (e *storedBudgetError) Unwrap() error { return core.ErrStateBudget }
