@@ -995,8 +995,9 @@ func BenchmarkE17RenderedTier(b *testing.B) {
 // BenchmarkE18GeneratedSweep: E18 — sweep throughput over a generated
 // problem space (internal/problems/gen), cold vs warm. Each iteration
 // classifies the same 32-point `-gen family=rand` space the way
-// cmd/sweep does — fixpoint.Run per point, its rendered checkpoint
-// committed to a store through a group committer. The cold case starts
+// cmd/sweep does — fixpoint.Run per point through the store's step
+// memo, its rendered checkpoint and step records committed to a store
+// through a group committer. The cold case starts
 // from an empty store every iteration (generation + classification +
 // commit, the group's drain included); the warm case replays
 // checkpoints from a pre-populated store (generation + store reads
@@ -1016,6 +1017,7 @@ func BenchmarkE18GeneratedSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		memo := st.StepMemo(maxStates)
 		for _, pt := range points {
 			if _, ok, _ := st.GetRendered(pt.Problem, params); ok {
 				continue
@@ -1023,6 +1025,7 @@ func BenchmarkE18GeneratedSweep(b *testing.B) {
 			res, err := fixpoint.Run(pt.Problem, fixpoint.Options{
 				MaxSteps: maxSteps,
 				Core:     []core.Option{core.WithMaxStates(maxStates)},
+				Memo:     memo,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -35,6 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fixpoint"
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 func main() {
@@ -151,9 +152,13 @@ func run(o options, path string) error {
 func runFixpoint(p *core.Problem, o options, coreOpts []core.Option) error {
 	// This command never overrides WithMaxStates, so its steps are
 	// cached under the engine-default budget (0).
-	memo, _, err := service.OpenStepMemo(o.storeDir, 0)
-	if err != nil {
-		return err
+	var memo fixpoint.Memo = fixpoint.NewMapMemo()
+	if o.storeDir != "" {
+		st, err := store.Open(o.storeDir)
+		if err != nil {
+			return err
+		}
+		memo = st.StepMemo(0)
 	}
 	res, err := fixpoint.Run(p, fixpoint.Options{MaxSteps: o.maxSteps, Core: coreOpts, Memo: memo})
 	if err != nil {

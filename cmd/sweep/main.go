@@ -62,7 +62,8 @@
 // identical bytes. Timing or cache-hit information never goes into the
 // report (that would break the identity); -v prints it to stderr,
 // ending with the count of records committed and the groups they went
-// in.
+// in. -out commits the report atomically (temp file, fsync, rename),
+// except into a device, a FIFO or a socket, which it writes in place.
 //
 // With -pack the sweep does not classify anything: it walks the
 // store's object tree and packs every valid record into one read-
@@ -120,9 +121,8 @@ func main() {
 		return
 	}
 	// The report is buffered and only committed to -out after a fully
-	// successful run — through the store's temp+fsync+rename path, so a
-	// failed or interrupted run never truncates or tears a previous
-	// report.
+	// successful run (see writeOut), so a failed or interrupted run
+	// never truncates or tears a previous report.
 	var buf bytes.Buffer
 	out := io.Writer(os.Stdout)
 	toFile := cfg.outPath != "" && cfg.outPath != "-"
@@ -134,11 +134,23 @@ func main() {
 		os.Exit(1)
 	}
 	if toFile {
-		if err := store.WriteFileAtomic(cfg.outPath, buf.Bytes()); err != nil {
+		if err := writeOut(cfg.outPath, buf.Bytes()); err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 			os.Exit(1)
 		}
 	}
+}
+
+// writeOut commits the report to path through the store's
+// temp+fsync+rename path, unless path (symlinks followed) is a device,
+// a FIFO or a socket: renaming over one of those would replace the
+// node with a regular file, so the report is written into it in place.
+func writeOut(path string, data []byte) error {
+	fi, err := os.Stat(path)
+	if err != nil || fi.Mode()&(os.ModeDevice|os.ModeNamedPipe|os.ModeSocket) == 0 {
+		return store.WriteFileAtomic(path, data)
+	}
+	return os.WriteFile(path, data, 0o666)
 }
 
 // runPack packs the store's records into one warm-cache artifact. The
@@ -471,15 +483,17 @@ func run(cfg config, out, errw io.Writer) error {
 		tasks = owned
 	}
 
-	memo, st, err := service.OpenStepMemo(cfg.storeDir, cfg.maxStates)
-	if err != nil {
-		return err
-	}
+	var st *store.Store
 	var group *store.Group
-	if st != nil {
+	var memo fixpoint.Memo = fixpoint.NewMapMemo()
+	if cfg.storeDir != "" {
+		opened, err := store.Open(cfg.storeDir)
+		if err != nil {
+			return err
+		}
 		// A task stages its checkpoint and step records and goes on;
 		// they commit in groups, and the drain below makes them durable.
-		group = st.Group()
+		group = opened.Group()
 		st, memo = group.Store, group.StepMemo(cfg.maxStates)
 	}
 	// A sweep has one budget, so one failure memo serves every task.

@@ -475,8 +475,9 @@ func TestPackModeEmitsArtifact(t *testing.T) {
 	}
 }
 
-// TestReportCommitIsAtomic: -out goes through the store's atomic
-// commit path, so a report file never coexists with its temp file.
+// TestReportCommitIsAtomic: -out naming a missing path (or a regular
+// file) goes through the store's atomic commit path, so a report file
+// never coexists with its temp file.
 func TestReportCommitIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	outPath := filepath.Join(t.TempDir(), "report.tsv")
@@ -488,7 +489,7 @@ func TestReportCommitIsAtomic(t *testing.T) {
 	if err := run(cfg, &buf, &errw); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WriteFileAtomic(cfg.outPath, buf.Bytes()); err != nil {
+	if err := writeOut(cfg.outPath, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(outPath)

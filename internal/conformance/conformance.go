@@ -194,8 +194,9 @@ func Run(points []problems.GridPoint, repro func(i int) string, opts Options) (*
 
 	fams := newFamilyCache(opts)
 	outcomes := make([]pointOutcome, len(points))
-	par.RunIndexed(opts.Workers, len(points), func(i int) {
+	_ = par.RunSharded(opts.Workers, len(points), func(_, i int) error {
 		outcomes[i] = checkPoint(points[i], srv.Client(), srv.URL, fams, opts)
+		return nil
 	})
 
 	rep := &Report{Problems: len(points), Skips: map[string]int{}}

@@ -3,11 +3,71 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/problems"
 	"repro/internal/problems/gen"
 )
+
+// TestHalfStepBudgetBoundary pins HalfStep's state budget at one worker
+// and at four, on the catalog and the first points of
+// family=rand,seed=1,delta=3,labels=3: the smallest WithMaxStates at
+// which the step succeeds is the same, both runs at it are
+// byte-identical, and one state less fails with ErrStateBudget at both.
+// Every lifted configuration is charged exactly once, whatever the
+// schedule.
+func TestHalfStepBudgetBoundary(t *testing.T) {
+	spec, err := gen.ParseSpec("family=rand,seed=1,count=20,delta=3,labels=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	generated, err := spec.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inputs []problems.GridPoint
+	inputs = append(inputs, problems.CatalogGrid()...)
+	inputs = append(inputs, generated...)
+	for _, in := range inputs {
+		var want string
+		budget := -1
+		for _, workers := range []int{1, 4} {
+			halfStep := func(b int) (*core.Problem, error) {
+				got, err := core.HalfStep(in.Problem, core.WithMaxStates(b), core.WithWorkers(workers))
+				if err != nil && !errors.Is(err, core.ErrStateBudget) {
+					t.Fatalf("%s, budget %d, workers %d: %v", in.Name, b, workers, err)
+				}
+				return got, err
+			}
+			// A budget that suffices stays sufficient when raised, so
+			// the smallest is found by doubling and bisection.
+			hi := 1
+			for _, err := halfStep(hi); err != nil; _, err = halfStep(hi) {
+				hi *= 2
+			}
+			b := sort.Search(hi, func(b int) bool { _, err := halfStep(b); return err == nil })
+			got, err := halfStep(b)
+			switch {
+			case err != nil:
+				t.Fatalf("%s, workers %d: budget %d: %v", in.Name, workers, b, err)
+			case budget < 0:
+				budget, want = b, got.String()
+			case b != budget:
+				t.Fatalf("%s: smallest budget %d at workers %d, %d at workers 1", in.Name, b, workers, budget)
+			case got.String() != want:
+				t.Fatalf("%s, budget %d: workers %d differs from workers 1", in.Name, b, workers)
+			}
+			if b == 0 {
+				continue // nothing lifts, nothing is charged
+			}
+			if _, err := halfStep(b - 1); !errors.Is(err, core.ErrStateBudget) {
+				t.Fatalf("%s, workers %d: budget %d: want ErrStateBudget, got %v", in.Name, workers, b-1, err)
+			}
+		}
+	}
+}
 
 // TestGenSecondHalfStepBudgetBoundary pins the state-budget rule on the
 // Π'_{1/2} inputs of served traffic: the distinct step inputs of the

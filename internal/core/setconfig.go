@@ -213,7 +213,7 @@ func maximalNodeSetConfigs(half *Problem, o speedupOptions) ([]setConfig, *setAr
 	roots := half.Node.Configs()
 	budget := par.NewBudget(max(o.maxStates-len(roots), 0))
 	index := newCompletionIndex(half.Node, n)
-	explorers := make([]*explorer, o.workerCount(len(roots)))
+	explorers := make([]*explorer, par.WorkerCount(o.workers, len(roots)))
 	for w := range explorers {
 		explorers[w] = &explorer{n: n, words: index.words, index: index, budget: budget,
 			key: make([]byte, n), mask: bitset.New(n), grown: bitset.New(n)}

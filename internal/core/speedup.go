@@ -21,13 +21,6 @@ type speedupOptions struct {
 	workers   int
 }
 
-// workerCount resolves the effective worker count for a unit of n
-// independent work items: the configured count (GOMAXPROCS when
-// unset), clamped to n.
-func (o speedupOptions) workerCount(n int) int {
-	return par.WorkerCount(o.workers, n)
-}
-
 // Option configures Speedup, HalfStep and SecondHalfStep.
 type Option func(*speedupOptions)
 
@@ -74,6 +67,10 @@ func buildOptions(opts []Option) speedupOptions {
 // edge-compatible with all of S. The closed sets are exactly the
 // intersections of the per-label compatibility sets, which this function
 // enumerates directly (no power-set sweep).
+//
+// The node configurations are lifted through one worker pool at every
+// worker count (WithWorkers), one worker included, so the result and
+// the WithMaxStates boundary are the same for every count.
 func HalfStep(p *Problem, opts ...Option) (*Problem, error) {
 	o := buildOptions(opts)
 	n := p.Alpha.Size()
@@ -116,37 +113,29 @@ func HalfStep(p *Problem, opts ...Option) (*Problem, error) {
 			return true
 		})
 	}
+	// Shard the per-config lifting across workers, each with a private
+	// accumulator; the shared atomic budget preserves the WithMaxStates
+	// semantics (total emissions bounded) exactly. Accumulators 1…w−1
+	// merge into accumulator 0: they are canonical-key sets, so the
+	// result is order-independent, and one worker adds each lifted
+	// configuration exactly once.
 	configs := p.Node.Configs()
 	budget := par.NewBudget(o.maxStates)
-	workers := o.workerCount(len(configs))
-	node := NewConstraint(p.Delta())
-	if workers <= 1 {
-		for _, cfg := range configs {
-			if err := liftConfig(cfg, candidates, node, budget); err != nil {
+	accs := make([]Constraint, par.WorkerCount(o.workers, len(configs)))
+	for w := range accs {
+		accs[w] = NewConstraint(p.Delta())
+	}
+	err := par.RunSharded(len(accs), len(configs), func(w, i int) error {
+		return liftConfig(configs[i], candidates, accs[w], budget)
+	})
+	if err != nil {
+		return nil, err
+	}
+	node := accs[0]
+	for _, acc := range accs[1:] {
+		for _, cfg := range acc.Configs() {
+			if err := node.Add(cfg); err != nil {
 				return nil, err
-			}
-		}
-	} else {
-		// Shard the per-config lifting across workers, each with a
-		// private accumulator; the shared atomic budget preserves the
-		// WithMaxStates semantics (total emissions bounded) exactly.
-		accs := make([]Constraint, workers)
-		for w := range accs {
-			accs[w] = NewConstraint(p.Delta())
-		}
-		err := par.RunSharded(workers, len(configs), func(w, i int) error {
-			return liftConfig(configs[i], candidates, accs[w], budget)
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Merge deterministically: accumulators insert into one
-		// canonical-key map, so the result is order-independent.
-		for _, acc := range accs {
-			for _, cfg := range acc.Configs() {
-				if err := node.Add(cfg); err != nil {
-					return nil, err
-				}
 			}
 		}
 	}

@@ -1,23 +1,15 @@
 package obs
 
-import (
-	"io"
-	"net/http"
-)
+import "net/http"
 
 // ResponseWriter wraps an http.ResponseWriter to capture the response
-// status and byte count for middleware, while preserving the two
-// optional interfaces the service depends on:
-//
-//   - http.Flusher: Flush (and FlushError) delegate through
-//     http.ResponseController, which unwraps nested middleware via
-//     Unwrap — so NDJSON streaming keeps flushing line-by-line through
-//     any stack of wrapped handlers. (A naive wrapper struct would
-//     hide the underlying Flusher and silently batch the whole stream
-//     until the handler returned.)
-//   - io.ReaderFrom: ReadFrom copies through the underlying writer
-//     (which restores its own sendfile fast path) while still counting
-//     the bytes.
+// status and byte count for middleware, while preserving the optional
+// interface the service depends on, http.Flusher: Flush (and
+// FlushError) delegate through http.ResponseController, which unwraps
+// nested middleware via Unwrap — so NDJSON streaming keeps flushing
+// line-by-line through any stack of wrapped handlers. (A naive wrapper
+// struct would hide the underlying Flusher and silently batch the
+// whole stream until the handler returned.)
 //
 // A ResponseWriter serves one request on one goroutine; it is not safe
 // for concurrent use.
@@ -48,16 +40,6 @@ func (w *ResponseWriter) Write(b []byte) (int, error) {
 	w.commit()
 	n, err := w.ResponseWriter.Write(b)
 	w.bytes += int64(n)
-	return n, err
-}
-
-// ReadFrom counts a streamed copy. io.Copy picks up the underlying
-// writer's own ReadFrom when it has one, so wrapping does not disable
-// the sendfile path.
-func (w *ResponseWriter) ReadFrom(r io.Reader) (int64, error) {
-	w.commit()
-	n, err := io.Copy(w.ResponseWriter, r)
-	w.bytes += n
 	return n, err
 }
 

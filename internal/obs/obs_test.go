@@ -177,23 +177,6 @@ func TestResponseWriterStatusAndBytes(t *testing.T) {
 	}
 }
 
-// TestResponseWriterReadFrom: the io.ReaderFrom path counts bytes and
-// commits the implicit status like Write does.
-func TestResponseWriterReadFrom(t *testing.T) {
-	rec := httptest.NewRecorder()
-	w := obs.Wrap(rec)
-	n, err := w.ReadFrom(strings.NewReader("stream-body"))
-	if err != nil || n != 11 {
-		t.Fatalf("ReadFrom: n=%d err=%v", n, err)
-	}
-	if w.BytesWritten() != 11 || w.Status() != http.StatusOK {
-		t.Fatalf("bytes=%d status=%d", w.BytesWritten(), w.Status())
-	}
-	if rec.Body.String() != "stream-body" {
-		t.Fatalf("recorder body %q", rec.Body.String())
-	}
-}
-
 // flushCounter is a ResponseWriter that counts flushes.
 type flushCounter struct {
 	http.ResponseWriter

@@ -20,13 +20,14 @@
 // (arXiv:2108.01989), that the speedup implementation is sound.
 //
 // The search is parallelized over instances (view collection) and over
-// the branches of the top-level search variable, with the shared
-// worker/atomic-budget substrate of internal/par; Solvable and Witness
-// are byte-identical for every worker count whenever the search
-// completes within the step budget. At the budget edge the verdict is
-// never wrong, but concurrent branches drain the shared budget faster,
-// so a parallel run may report ErrSearchBudget where a sequential run
-// still finishes.
+// the branches of the top-level search variable, with the one worker
+// pool and atomic budget of internal/par; a one-worker run is the
+// in-order branch loop. Solvable and Witness are byte-identical for
+// every worker count whenever the search completes within the step
+// budget. At the budget edge the verdict is never wrong, but
+// concurrent branches drain the shared budget faster, so a parallel
+// run may report ErrSearchBudget where a one-worker run still
+// finishes.
 package oracle
 
 import (
@@ -161,7 +162,7 @@ func Decide(p *core.Problem, insts []Instance, t int, opts ...Option) (*Verdict,
 	}
 	collected := make([]instViews, len(insts))
 	totalNodes := 0
-	par.RunIndexed(par.WorkerCount(o.workers, len(insts)), len(insts), func(ii int) {
+	_ = par.RunSharded(par.WorkerCount(o.workers, len(insts)), len(insts), func(_, ii int) error {
 		inst := insts[ii]
 		b := sim.NewViewBuilder(inst.G, inst.In)
 		iv := instViews{keys: make([]intern.Handle, inst.G.N()), degrees: make([]int, inst.G.N())}
@@ -170,6 +171,7 @@ func Decide(p *core.Problem, insts []Instance, t int, opts ...Option) (*Verdict,
 			iv.degrees[v] = inst.G.Degree(v)
 		}
 		collected[ii] = iv
+		return nil
 	})
 	degreeOf := make([]int, views.Len())
 	for ii := range collected {
@@ -403,6 +405,15 @@ func (s *searcher) propagate(domains [][]int) bool {
 
 // solve runs the branch-parallel backtracking search and returns the
 // deterministic (lowest-branch) satisfying assignment, or nil.
+//
+// Every branch is searched deterministically; the lowest successful
+// branch index wins. A branch above a known success returns before it
+// takes any budget, and one running is cancelled, so a one-worker run
+// spends exactly the steps of the in-order branch loop. Budget
+// exhaustion anywhere aborts the whole decision with ErrSearchBudget —
+// even if some branch already succeeded — because cancellation may then
+// have stopped a lower branch whose witness the in-order loop would
+// report.
 func (s *searcher) solve(domains [][]int, workers int) ([]int, error) {
 	n := len(domains)
 	assigned := make([]int, n)
@@ -414,71 +425,35 @@ func (s *searcher) solve(domains [][]int, workers int) ([]int, error) {
 		return assigned, nil // no variables at all
 	}
 	branches := domains[first]
-	w := par.WorkerCount(workers, len(branches))
-	if w <= 1 {
-		cancel := func() bool { return false }
-		for _, ti := range branches {
-			got, err := s.tryBranch(domains, first, ti, cancel)
-			if err != nil || got != nil {
-				return got, err
-			}
-		}
-		return nil, nil
-	}
-
-	// Parallel branches: every branch is searched deterministically;
-	// the lowest successful branch index wins, and branches above a
-	// known success are cancelled. Budget exhaustion anywhere aborts
-	// the whole decision with ErrSearchBudget — even if some branch
-	// already succeeded — because cancellation may then have stopped a
-	// lower branch whose witness the sequential order would report.
 	results := make([][]int, len(branches))
-	errs := make([]error, len(branches))
 	var best atomic.Int64
 	best.Store(int64(len(branches)))
-	var budgetBlown atomic.Bool
-	par.RunIndexed(w, len(branches), func(bi int) {
-		if int64(bi) > best.Load() || budgetBlown.Load() {
-			return
+	err := par.RunSharded(par.WorkerCount(workers, len(branches)), len(branches), func(_, bi int) error {
+		if int64(bi) > best.Load() {
+			return nil
 		}
-		cancel := func() bool { return best.Load() < int64(bi) || budgetBlown.Load() }
+		cancel := func() bool { return best.Load() < int64(bi) }
 		got, err := s.tryBranch(domains, first, branches[bi], cancel)
-		if err != nil {
-			errs[bi] = err
-			if errors.Is(err, ErrSearchBudget) {
-				budgetBlown.Store(true)
-			}
-			return
+		if err != nil || got == nil {
+			return err
 		}
-		if got != nil {
-			results[bi] = got
-			// CAS-min.
-			for {
-				cur := best.Load()
-				if int64(bi) >= cur || best.CompareAndSwap(cur, int64(bi)) {
-					break
-				}
+		results[bi] = got
+		// CAS-min.
+		for {
+			cur := best.Load()
+			if int64(bi) >= cur || best.CompareAndSwap(cur, int64(bi)) {
+				return nil
 			}
 		}
 	})
-	if budgetBlown.Load() {
-		return nil, fmt.Errorf("oracle: search aborted: %w", ErrSearchBudget)
+	if err != nil {
+		return nil, err
 	}
+	// A success wins only if every lower branch ran to completion —
+	// guaranteed here: branches are cancelled only above a success, and
+	// the pool hands out every lower branch before a higher one.
 	if b := best.Load(); int(b) < len(branches) {
-		// A success wins only if every lower branch ran to completion —
-		// guaranteed here: branches are cancelled only above a success
-		// or on budget exhaustion, which returned above.
-		for bi := 0; bi < int(b); bi++ {
-			if errs[bi] != nil {
-				return nil, errs[bi]
-			}
-		}
-		return results[int(b)], nil
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return results[b], nil
 	}
 	return nil, nil
 }
@@ -573,7 +548,7 @@ func (s *searcher) forwardCheck(domains [][]int, v, ti int, saved map[int][]int)
 // mrv returns the unassigned variable with the smallest domain, lowest
 // index on ties; -1 when everything is assigned.
 func mrv(domains [][]int, assigned []int) int {
-	best, bestSize := -1, 1<<62
+	best, bestSize := -1, math.MaxInt
 	for c := range domains {
 		if assigned[c] == -1 && len(domains[c]) < bestSize {
 			best, bestSize = c, len(domains[c])

@@ -3,6 +3,7 @@ package oracle_test
 import (
 	"encoding/json"
 	"errors"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -200,6 +201,48 @@ func TestDecideSearchBudget(t *testing.T) {
 			t.Fatalf("workers=%d: got %v, want ErrSearchBudget", workers, err)
 		}
 	}
+}
+
+// TestDecideOneWorkerStepBoundary pins the one-worker search's step
+// accounting on a small solvable point: the smallest WithMaxSteps that
+// decides at one worker gives the verdict and witness of an unbudgeted
+// run at four, and one step less fails with ErrSearchBudget.
+func TestDecideOneWorkerStepBoundary(t *testing.T) {
+	reg, err := oracle.RegularBases(3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oriented := oracle.WithRandomOrientations(oracle.WithShuffledPorts(reg, 4, 1), 2, 2)
+	p := problems.WeakTwoColoringPointer(3)
+	want, err := json.Marshal(decide(t, p, oriented, 1, oracle.WithWorkers(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideAt := func(steps int) (*oracle.Verdict, error) {
+		v, err := oracle.Decide(p, oriented, 1, oracle.WithMaxSteps(steps), oracle.WithWorkers(1))
+		if err != nil && !errors.Is(err, oracle.ErrSearchBudget) {
+			t.Fatalf("%d steps: %v", steps, err)
+		}
+		return v, err
+	}
+	// A step budget that suffices stays sufficient when raised, so the
+	// smallest is found by doubling and bisection.
+	hi := 1
+	for _, err := decideAt(hi); err != nil; _, err = decideAt(hi) {
+		hi *= 2
+	}
+	steps := sort.Search(hi, func(n int) bool { _, err := decideAt(n); return err == nil })
+	v, err := decideAt(steps)
+	if err != nil {
+		t.Fatalf("%d steps: %v", steps, err)
+	}
+	if got, err := json.Marshal(v); err != nil || string(got) != string(want) {
+		t.Fatalf("%d steps at one worker: verdict %s (%v), want %s", steps, got, err, want)
+	}
+	if _, err := decideAt(steps - 1); !errors.Is(err, oracle.ErrSearchBudget) {
+		t.Fatalf("%d steps: got %v, want ErrSearchBudget", steps-1, err)
+	}
+	t.Logf("smallest budget: %d steps", steps)
 }
 
 // TestWitnessSolvesEveryInstance replays a solvable verdict's witness

@@ -1,15 +1,18 @@
 // Package par is the shared parallel-execution substrate of the
-// reproduction: a dynamic work-stealing index pool, a sharded variant
-// for workers that accumulate private state, and an atomic countdown
-// budget whose semantics are identical for every worker count.
+// reproduction: one dynamic work-stealing worker pool, for workers
+// that may accumulate private state and may fail, and an atomic
+// countdown budget whose semantics are identical for every worker
+// count.
 //
 // It exists so that every enumeration hot path — the round-elimination
 // engine in internal/core, the simulator's per-node output loop in
 // internal/sim, and the brute-force solvability oracle in
-// internal/oracle — parallelizes through one pattern with one set of
+// internal/oracle — parallelizes through one pool with one set of
 // invariants: deterministic results for every worker count, and budget
 // exhaustion meaning "total work exceeded N" no matter how the work was
-// scheduled.
+// scheduled. One worker is a special case only inside the pool, which
+// runs it as a plain in-order loop, so a caller has one code path at
+// every worker count.
 package par
 
 import (
@@ -37,43 +40,15 @@ func WorkerCount(configured, n int) int {
 	return w
 }
 
-// RunIndexed executes fn(i) for i in [0, n) across the given number of
-// workers, handing out indices through an atomic cursor (dynamic
-// work-stealing, which tolerates wildly unbalanced item costs). With
-// workers <= 1 it degrades to a plain loop with zero goroutine
-// overhead.
-func RunIndexed(workers, n int, fn func(i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// RunSharded is RunIndexed for workers that accumulate into per-worker
-// state: fn receives the worker id alongside the item index and may
-// fail. The first error (in worker order) aborts the remaining items of
-// every worker and is returned.
+// RunSharded executes fn(worker, i) for i in [0, n) across the given
+// number of workers, handing out indices in ascending order through an
+// atomic cursor (dynamic work-stealing, which tolerates wildly
+// unbalanced item costs); the worker id in [0, workers) lets fn
+// accumulate into per-worker state without locking. The first error
+// (in worker order) aborts the remaining items of every worker and is
+// returned. Items already handed out run to completion, so every item
+// below a failing one has finished by then. With workers <= 1 it is a
+// plain in-order loop with zero goroutine overhead.
 func RunSharded(workers, n int, fn func(worker, i int) error) error {
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -119,10 +94,10 @@ func RunSharded(workers, n int, fn func(worker, i int) error) error {
 	return nil
 }
 
-// Budget is a concurrency-safe countdown over a work cap. Sequential
-// and parallel enumeration paths share it, so the "total units spent"
-// semantics are identical for every worker count: Take succeeds exactly
-// n times in total.
+// Budget is a concurrency-safe countdown over a work cap. Every worker
+// of a pool shares it, so the "total units spent" semantics are
+// identical for every worker count: Take succeeds exactly n times in
+// total.
 type Budget struct {
 	remaining atomic.Int64
 }

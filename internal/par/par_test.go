@@ -29,13 +29,18 @@ func TestWorkerCount(t *testing.T) {
 	}
 }
 
-// TestRunIndexedCoversEveryIndex: every index is visited exactly once,
-// for sequential and parallel worker counts.
-func TestRunIndexedCoversEveryIndex(t *testing.T) {
+// TestRunShardedCoversEveryIndex: every index is visited exactly once,
+// for one worker and for several.
+func TestRunShardedCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 9} {
 		const n = 1000
 		var hits [n]atomic.Int32
-		par.RunIndexed(workers, n, func(i int) { hits[i].Add(1) })
+		if err := par.RunSharded(workers, n, func(_, i int) error {
+			hits[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
@@ -75,10 +80,11 @@ func TestBudgetExactCount(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		b := par.NewBudget(500)
 		var ok atomic.Int64
-		par.RunIndexed(workers, 2000, func(i int) {
+		_ = par.RunSharded(workers, 2000, func(_, i int) error {
 			if b.Take() {
 				ok.Add(1)
 			}
+			return nil
 		})
 		if got := ok.Load(); got != 500 {
 			t.Fatalf("workers=%d: %d successful takes, want 500", workers, got)
@@ -94,10 +100,10 @@ func TestGateBoundsConcurrency(t *testing.T) {
 		t.Fatalf("Cap() = %d, want 3", g.Cap())
 	}
 	var inside, peak atomic.Int64
-	par.RunIndexed(8, 64, func(i int) {
+	_ = par.RunSharded(8, 64, func(_, i int) error {
 		if !g.Enter(context.Background()) {
 			t.Error("Enter with background context must succeed")
-			return
+			return nil
 		}
 		cur := inside.Add(1)
 		for {
@@ -108,6 +114,7 @@ func TestGateBoundsConcurrency(t *testing.T) {
 		}
 		inside.Add(-1)
 		g.Leave()
+		return nil
 	})
 	if p := peak.Load(); p > 3 {
 		t.Fatalf("observed %d concurrent holders, gate capacity 3", p)

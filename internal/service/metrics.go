@@ -306,7 +306,7 @@ func endpointLabel(r *http.Request) string {
 // Instrument wraps next so every request is counted by endpoint and
 // status and its latency lands in the endpoint's histogram. The
 // ResponseWriter wrapper preserves Flusher (NDJSON streaming keeps
-// flushing line-by-line) and ReaderFrom.
+// flushing line-by-line).
 func (m *Metrics) Instrument(next http.Handler) http.Handler {
 	if m == nil {
 		return next

@@ -34,9 +34,6 @@ type PeerConfig struct {
 	// cluster.DefaultPeerTimeout). Keep it small: a peer hit is only
 	// worth having when it beats recomputing.
 	Timeout time.Duration
-	// VNodes is the ring's virtual-node count per member (<= 0 selects
-	// cluster.DefaultVNodes). All nodes must agree on it.
-	VNodes int
 }
 
 // peerFailureThreshold is how many consecutive unreachable outcomes
@@ -63,7 +60,7 @@ type peerTier struct {
 
 // newPeerTier validates the peer configuration and builds the tier.
 func newPeerTier(cfg *PeerConfig) (*peerTier, error) {
-	ring, err := cluster.NewRing(cfg.Members, cfg.VNodes)
+	ring, err := cluster.NewRing(cfg.Members, cluster.DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}

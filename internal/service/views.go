@@ -7,8 +7,6 @@ import (
 	"net/http"
 
 	"repro/internal/core"
-	"repro/internal/fixpoint"
-	"repro/internal/store"
 )
 
 // ProblemView is the JSON rendering of one problem: its stable key,
@@ -166,21 +164,4 @@ func parseProblem(text string) (*core.Problem, error) {
 		return nil, badRequest("%v", err)
 	}
 	return p, nil
-}
-
-// OpenStepMemo is the shared store-or-memory memo wiring of the
-// command-line clients: it opens the persistent result store at dir
-// when non-empty and returns a step memo scoped to the given
-// core.WithMaxStates budget, or a fresh in-memory memo (and a nil
-// store) when dir is empty. The returned store handle lets callers
-// also checkpoint trajectories (cmd/sweep) against the same directory.
-func OpenStepMemo(dir string, maxStates int) (fixpoint.Memo, *store.Store, error) {
-	if dir == "" {
-		return fixpoint.NewMapMemo(), nil, nil
-	}
-	st, err := store.Open(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st.StepMemo(maxStates), st, nil
 }

@@ -31,10 +31,11 @@ type Solution struct {
 // builds each node's radius-t view and applies the algorithm's output
 // function — the canonical normal form of a t-round algorithm.
 //
-// With WithWorkers the per-node output loop is parallelized: views are
-// built once through the memoizing builder (which is not safe for
-// concurrent use), then the algorithm's output function runs across a
-// worker pool. Results are byte-identical for every worker count.
+// Every view is built first, through the memoizing builder (which is
+// not safe for concurrent use, and whose view DAG is then shared
+// read-only); the output function then runs across one worker pool
+// (WithWorkers), one worker included. Results are byte-identical for
+// every worker count, and a failure is the first in node order.
 func Run(g *graph.Graph, in Inputs, alg Algorithm, opts ...Option) (*Solution, error) {
 	o := buildOptions(opts)
 	t := alg.Rounds(g.N(), g.MaxDegree())
@@ -42,38 +43,22 @@ func Run(g *graph.Graph, in Inputs, alg Algorithm, opts ...Option) (*Solution, e
 		return nil, fmt.Errorf("sim: algorithm %q reports negative round count %d", alg.Name(), t)
 	}
 	builder := NewViewBuilder(g, in)
+	views := make([]*View, g.N())
+	for v := range views {
+		views[v] = builder.View(v, t)
+	}
 	sol := &Solution{Labels: make([][]core.Label, g.N())}
-	workers := par.WorkerCount(o.workers, g.N())
-	if workers <= 1 {
-		for v := 0; v < g.N(); v++ {
-			out, err := runNode(g, builder.View(v, t), alg, v)
+	errs := make([]error, g.N())
+	if par.RunSharded(par.WorkerCount(o.workers, g.N()), g.N(), func(_, v int) error {
+		sol.Labels[v], errs[v] = runNode(g, views[v], alg, v)
+		return errs[v]
+	}) != nil {
+		// The pool hands nodes out in order and lets started ones
+		// finish, so every node below a failing one has run.
+		for _, err := range errs {
 			if err != nil {
 				return nil, err
 			}
-			sol.Labels[v] = out
-		}
-		return sol, nil
-	}
-	// The memoized view DAG is shared read-only across workers once all
-	// views exist; building it sequentially is O(n·t·Δ) and cheap next
-	// to the algorithms' output functions.
-	views := make([]*View, g.N())
-	for v := 0; v < g.N(); v++ {
-		views[v] = builder.View(v, t)
-	}
-	errs := make([]error, g.N())
-	par.RunIndexed(workers, g.N(), func(v int) {
-		out, err := runNode(g, views[v], alg, v)
-		if err != nil {
-			errs[v] = err
-			return
-		}
-		sol.Labels[v] = out
-	})
-	// First error in node order, so failures are deterministic too.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
 	return sol, nil
